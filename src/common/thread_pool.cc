@@ -336,15 +336,15 @@ parallelFor(ExecContext &exec, std::size_t n,
 {
     if (n == 0)
         return;
-    const std::size_t width = std::min(exec.threads(), n);
-    if (width <= 1 || exec.pool == nullptr) {
+    if (exec.threads() <= 1 || exec.pool == nullptr) {
         body(0, n);
         return;
     }
-    exec.pool->run(width, [&](std::size_t chunk) {
-        const auto [lo, hi] = shardBounds(n, width, chunk);
-        if (lo < hi)
-            body(lo, hi);
+    const std::size_t chunks =
+        std::min(n, exec.threads() * kParallelForChunksPerThread);
+    exec.pool->run(chunks, [&](std::size_t chunk) {
+        const auto [lo, hi] = shardBounds(n, chunks, chunk);
+        body(lo, hi);
     });
 }
 

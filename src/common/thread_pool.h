@@ -3,11 +3,12 @@
  * The repository-wide parallel execution layer.
  *
  * One threading model for every hot path: a persistent pool of worker
- * threads plus two static-partition loop primitives. No work stealing,
- * no nested parallelism -- the paper's kernels (dense noise sweeps,
- * streaming table updates, sparse LazyDP updates, DLRM GEMMs) are all
- * embarrassingly parallel over rows or blocks, so a fixed partition is
- * both the fastest schedule and the only deterministic one.
+ * threads plus two loop primitives over fixed partitions. No work
+ * stealing, no nested parallelism -- the paper's kernels (dense noise
+ * sweeps, streaming table updates, sparse LazyDP updates, DLRM GEMMs)
+ * are all embarrassingly parallel over rows or blocks, so a fixed
+ * partition, its chunks claimed through one atomic cursor, is both fast
+ * and deterministic.
  *
  * Determinism contract: parallelForShards computes shard boundaries
  * from the iteration count and grain ONLY -- never from the thread
@@ -18,10 +19,12 @@
  * keeps the keyed-noise equivalence guarantee (LazyDP == eager DP-SGD
  * on the final model) intact under `--threads N`.
  *
- * parallelFor splits [0, n) into one contiguous chunk per thread; use
- * it when each index owns its outputs outright (per-example loops,
- * per-row GEMM loops). Use parallelForShards when downstream code
- * depends on the partition geometry (per-shard reductions).
+ * parallelFor splits [0, n) into a few contiguous chunks per thread,
+ * claimed dynamically, so a thread that shares its core with another
+ * runnable thread does not hold the whole loop back; use it when each
+ * index owns its outputs outright (per-example loops, per-row GEMM
+ * loops). Use parallelForShards when downstream code depends on the
+ * partition geometry (per-shard reductions).
  */
 
 #ifndef LAZYDP_COMMON_THREAD_POOL_H
@@ -257,9 +260,15 @@ struct ExecContext
     static ExecContext &serial();
 };
 
+/** Chunks per thread of a parallelFor (see parallelFor). */
+constexpr std::size_t kParallelForChunksPerThread = 4;
+
 /**
- * Run body(lo, hi) over a static partition of [0, n): one contiguous
- * chunk per thread. Chunk boundaries depend on the thread count, so use
+ * Run body(lo, hi) over a partition of [0, n) into
+ * min(n, kParallelForChunksPerThread * threads) balanced contiguous
+ * chunks, each non-empty and claimed by whichever thread is free next.
+ * Every index lands in exactly one chunk; a serial context runs one
+ * body(0, n) call. Chunk boundaries depend on the thread count, so use
  * this only when each index's outputs are independent of the partition
  * (disjoint writes; any per-index arithmetic stays within the index).
  */
@@ -279,7 +288,7 @@ shardCount(std::size_t n, std::size_t grain)
 /**
  * Boundaries of chunk @p chunk in a balanced split of [0, n) into
  * @p num_chunks parts: the first n % num_chunks chunks get one extra
- * element. Used by parallelFor to hand each thread one chunk.
+ * element. Used by parallelFor to cut its chunks.
  */
 inline std::pair<std::size_t, std::size_t>
 shardBounds(std::size_t n, std::size_t num_chunks, std::size_t chunk)

@@ -3,10 +3,11 @@
  * Runtime-dispatched SIMD kernel registry for the DP hot loops.
  *
  * Every data-streaming primitive the training loop leans on — the MLP
- * GEMM row kernel, the fused square-accumulate behind per-example
- * gradient norms, the scale-and-add of clipped gradient accumulation,
- * the keyed-Philox Box-Muller fill, and the embedding pooling/scatter
- * kernels — exists in two implementations:
+ * GEMM row kernel and its register-tiled GEMMs, the fused
+ * square-accumulate behind per-example gradient norms, the
+ * scale-and-add of clipped gradient accumulation, the keyed-Philox
+ * Box-Muller fill, and the embedding pooling/scatter kernels — exists
+ * in two implementations:
  *
  *  - a **scalar** reference, plain C++ loops compiled for the baseline
  *    ISA, and
@@ -30,10 +31,10 @@
  *    hold under either backend.
  *  - Across kernel choices, element-wise kernels without FMA
  *    opportunities (fill/add/scale/relu/pool) are bit-identical;
- *    FMA-bearing kernels (axpy/axpby/scatter/gemv) and the blocked
- *    reductions agree within a few ULP; the Box-Muller fill agrees
- *    within |diff| < 1e-5 * sigma per sample (polynomial vs libm
- *    transcendentals). The kernel-parity suite (tests/kernels/) pins
+ *    FMA-bearing kernels (axpy/axpby/scatter/gemv and the tiled
+ *    GEMMs) and the blocked reductions agree within a few ULP; the
+ *    Box-Muller fill agrees within |diff| < 1e-5 * sigma per sample
+ *    (polynomial vs libm transcendentals). The kernel-parity suite (tests/kernels/) pins
  *    these tolerances.
  *  - The scalar backend is the golden reference: the golden-model
  *    regression hashes (tests/kernels/golden_model_test.cc) are
@@ -108,6 +109,35 @@ struct KernelTable
      */
     void (*gemvDotRow)(const float *arow, const float *b, float *crow,
                        std::size_t n, std::size_t k, bool accumulate);
+
+    /**
+     * Tiled C = A * B^T over strided row-major slices:
+     * c[i*ldc + j] (+)= float(dot(a + i*lda, b + j*ldb, k)) for i < m,
+     * j < n. Every output is bit-identical to the backend's gemvDotRow
+     * (and dot): the same kReduceBlock partials summed in the same
+     * order. The scalar entry is the per-row gemvDotRow loop; the AVX2
+     * entry holds a register tile of outputs and streams A and B once
+     * per tile instead of once per output row.
+     */
+    void (*gemmABt)(const float *a, std::size_t lda, const float *b,
+                    std::size_t ldb, float *c, std::size_t ldc,
+                    std::size_t m, std::size_t n, std::size_t k,
+                    bool accumulate);
+
+    /**
+     * Zero-skipping axpy GEMM, the order of C += A * B as a row loop of
+     * axpy calls: for every i < m and kk = 0..k-1 in ascending order
+     * with coef = a[i*a_rs + kk*a_cs] != 0,
+     * c_i[j] += coef * b[kk*ldb + j] for j < n (one fused multiply-add
+     * per element on the AVX2 backend, the backend's axpy otherwise).
+     * Zero coefficients (either sign) are skipped, so a NaN or inf in a
+     * skipped row of B never reaches C. (a_rs, a_cs) = (lda, 1) walks A
+     * (m x k); (1, lda) walks A^T of a (k x m) matrix.
+     */
+    void (*gemmAxpy)(const float *a, std::size_t a_rs, std::size_t a_cs,
+                     const float *b, std::size_t ldb, float *c,
+                     std::size_t ldc, std::size_t m, std::size_t n,
+                     std::size_t k);
 
     /**
      * Embedding sum-pooling: dst[j] = sum_i table[rows[i]*dim + j]

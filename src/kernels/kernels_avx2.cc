@@ -249,6 +249,240 @@ gemvDotRowAvx2(const float *arow, const float *b, float *crow,
     }
 }
 
+// ---- register-tiled GEMMs -------------------------------------------
+//
+// gemmABt keeps an R x C tile of outputs in registers. Each output owns
+// the two 4-lane double accumulators dotBlock uses (elements 8t..8t+3
+// and 8t+4..8t+7 of every kReduceBlock block), so its arithmetic is
+// dotBlock's exactly; the tile only shares the loads and conversions of
+// A and B between outputs. Under plain AVX2 (16 ymm registers) a 2 x 2
+// tile needs 8 accumulators plus 3 operands; with AVX-512VL's 32
+// registers the 4 x 2 tile's 16 accumulators fit as well.
+#if defined(__AVX512VL__)
+constexpr int kTileRows = 4;
+#else
+constexpr int kTileRows = 2;
+#endif
+
+/**
+ * Lane x of the result is ((v_x[0] + v_x[1]) + v_x[2]) + v_x[3]: four
+ * outputs' horizontal sums at once, in dotBlock's lane order.
+ */
+inline __m256d
+laneSums4(__m256d v0, __m256d v1, __m256d v2, __m256d v3)
+{
+    const __m256d t0 = _mm256_unpacklo_pd(v0, v1);
+    const __m256d t1 = _mm256_unpackhi_pd(v0, v1);
+    const __m256d t2 = _mm256_unpacklo_pd(v2, v3);
+    const __m256d t3 = _mm256_unpackhi_pd(v2, v3);
+    const __m256d l0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    const __m256d l1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    const __m256d l2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    const __m256d l3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+    return _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(l0, l1), l2), l3);
+}
+
+/** Four floats widened to double. */
+inline __m256d
+loadWiden(const float *p)
+{
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+/** One R x C output tile of gemmABt over the full k. */
+template <int R, int C>
+inline void
+tileABt(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+        float *c, std::size_t ldc, std::size_t k, bool accumulate)
+{
+    constexpr int N = R * C; // output x = r * C + q
+    alignas(32) double total[N] = {};
+    for (std::size_t base = 0; base < k; base += kReduceBlock) {
+        const std::size_t len = std::min(k, base + kReduceBlock) - base;
+        const float *ap = a + base;
+        const float *bp = b + base;
+        __m256d lo[N], hi[N];
+        for (int x = 0; x < N; ++x) {
+            lo[x] = _mm256_setzero_pd();
+            hi[x] = _mm256_setzero_pd();
+        }
+        std::size_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+            __m256d bv[C];
+            for (int q = 0; q < C; ++q)
+                bv[q] = loadWiden(bp + q * ldb + i);
+            for (int r = 0; r < R; ++r) {
+                const __m256d av = loadWiden(ap + r * lda + i);
+                for (int q = 0; q < C; ++q)
+                    lo[r * C + q] =
+                        _mm256_fmadd_pd(av, bv[q], lo[r * C + q]);
+            }
+            for (int q = 0; q < C; ++q)
+                bv[q] = loadWiden(bp + q * ldb + i + 4);
+            for (int r = 0; r < R; ++r) {
+                const __m256d av = loadWiden(ap + r * lda + i + 4);
+                for (int q = 0; q < C; ++q)
+                    hi[r * C + q] =
+                        _mm256_fmadd_pd(av, bv[q], hi[r * C + q]);
+            }
+        }
+        alignas(32) double blk[N];
+        int x = 0;
+        for (; x + 4 <= N; x += 4) {
+            _mm256_store_pd(
+                blk + x,
+                laneSums4(_mm256_add_pd(lo[x], hi[x]),
+                          _mm256_add_pd(lo[x + 1], hi[x + 1]),
+                          _mm256_add_pd(lo[x + 2], hi[x + 2]),
+                          _mm256_add_pd(lo[x + 3], hi[x + 3])));
+        }
+        for (; x < N; ++x) {
+            alignas(32) double t[4];
+            _mm256_store_pd(t, _mm256_add_pd(lo[x], hi[x]));
+            blk[x] = t[0] + t[1] + t[2] + t[3];
+        }
+        // Sequential tail of the block, as in dotBlock.
+        for (; i < len; ++i) {
+            for (int r = 0; r < R; ++r) {
+                const double av = ap[r * lda + i];
+                for (int q = 0; q < C; ++q)
+                    blk[r * C + q] +=
+                        av * static_cast<double>(bp[q * ldb + i]);
+            }
+        }
+        for (x = 0; x < N; ++x)
+            total[x] += blk[x];
+    }
+    for (int r = 0; r < R; ++r) {
+        for (int q = 0; q < C; ++q) {
+            const float v = static_cast<float>(total[r * C + q]);
+            float &out = c[r * ldc + q];
+            out = accumulate ? out + v : v;
+        }
+    }
+}
+
+/** All n columns of an R-row strip of gemmABt. */
+template <int R>
+inline void
+stripABt(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+         float *c, std::size_t ldc, std::size_t n, std::size_t k,
+         bool accumulate)
+{
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2)
+        tileABt<R, 2>(a, lda, b + j * ldb, ldb, c + j, ldc, k, accumulate);
+    if (j < n)
+        tileABt<R, 1>(a, lda, b + j * ldb, ldb, c + j, ldc, k, accumulate);
+}
+
+void
+gemmABtAvx2(const float *a, std::size_t lda, const float *b,
+            std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
+            std::size_t n, std::size_t k, bool accumulate)
+{
+    std::size_t i = 0;
+    for (; i + kTileRows <= m; i += kTileRows)
+        stripABt<kTileRows>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, n,
+                            k, accumulate);
+    for (; i < m; ++i)
+        stripABt<1>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, n, k,
+                    accumulate);
+}
+
+// gemmAxpy holds a panel of one output row in registers across every
+// nonzero coefficient of that row, instead of loading and storing the
+// row once per coefficient as the axpy loop does. Each element still
+// sees one fused multiply-add per nonzero coefficient in ascending kk
+// -- axpyAvx2's arithmetic exactly. Coefficients are compacted per row
+// first (skipping zeros without a branch in the panel loop), for a
+// group of rows and a strip of kk at a time, so a panel of B is reused
+// by every row of the group while it is in L1.
+constexpr std::size_t kAxpyGroupRows = 8;
+constexpr std::size_t kAxpyStripK = 256;
+
+struct AxpyCoef
+{
+    std::uint32_t kk;
+    float v;
+};
+
+/** c[0, 8V) += coef * b_kk[0, 8V) over one row's compacted coefs. */
+template <int V>
+inline void
+axpyPanel(const AxpyCoef *cf, std::size_t count, const float *b,
+          std::size_t ldb, float *c)
+{
+    __m256 acc[V];
+    for (int v = 0; v < V; ++v)
+        acc[v] = _mm256_loadu_ps(c + 8 * v);
+    for (std::size_t t = 0; t < count; ++t) {
+        const __m256 av = _mm256_set1_ps(cf[t].v);
+        const float *bp = b + cf[t].kk * ldb;
+        for (int v = 0; v < V; ++v)
+            acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 8 * v),
+                                     acc[v]);
+    }
+    for (int v = 0; v < V; ++v)
+        _mm256_storeu_ps(c + 8 * v, acc[v]);
+}
+
+/** The last width < 8 columns, through masked loads and stores. */
+inline void
+axpyPanelTail(const AxpyCoef *cf, std::size_t count, const float *b,
+              std::size_t ldb, float *c, std::size_t width)
+{
+    alignas(32) static const std::int32_t kMask[16] = {
+        -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+    const __m256i mask = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(kMask + 8 - width));
+    __m256 acc = _mm256_maskload_ps(c, mask);
+    for (std::size_t t = 0; t < count; ++t) {
+        acc = _mm256_fmadd_ps(_mm256_set1_ps(cf[t].v),
+                              _mm256_maskload_ps(b + cf[t].kk * ldb, mask),
+                              acc);
+    }
+    _mm256_maskstore_ps(c, mask, acc);
+}
+
+void
+gemmAxpyAvx2(const float *a, std::size_t a_rs, std::size_t a_cs,
+             const float *b, std::size_t ldb, float *c, std::size_t ldc,
+             std::size_t m, std::size_t n, std::size_t k)
+{
+    AxpyCoef coef[kAxpyGroupRows][kAxpyStripK];
+    std::size_t count[kAxpyGroupRows];
+    for (std::size_t i0 = 0; i0 < m; i0 += kAxpyGroupRows) {
+        const std::size_t rows = std::min(kAxpyGroupRows, m - i0);
+        for (std::size_t k0 = 0; k0 < k; k0 += kAxpyStripK) {
+            const std::size_t klen = std::min(kAxpyStripK, k - k0);
+            for (std::size_t r = 0; r < rows; ++r) {
+                const float *ar = a + (i0 + r) * a_rs;
+                std::size_t z = 0;
+                for (std::size_t kk = k0; kk < k0 + klen; ++kk) {
+                    const float av = ar[kk * a_cs];
+                    if (av != 0.0f)
+                        coef[r][z++] = {static_cast<std::uint32_t>(kk), av};
+                }
+                count[r] = z;
+            }
+            std::size_t j = 0;
+            for (; j + 32 <= n; j += 32)
+                for (std::size_t r = 0; r < rows; ++r)
+                    axpyPanel<4>(coef[r], count[r], b + j, ldb,
+                                 c + (i0 + r) * ldc + j);
+            for (; j + 8 <= n; j += 8)
+                for (std::size_t r = 0; r < rows; ++r)
+                    axpyPanel<1>(coef[r], count[r], b + j, ldb,
+                                 c + (i0 + r) * ldc + j);
+            if (j < n)
+                for (std::size_t r = 0; r < rows; ++r)
+                    axpyPanelTail(coef[r], count[r], b + j, ldb,
+                                  c + (i0 + r) * ldc + j, n - j);
+        }
+    }
+}
+
 void
 poolRowsAvx2(float *dst, const float *table, const std::uint32_t *rows,
              std::size_t count, std::size_t dim)
@@ -490,6 +724,8 @@ avx2Table()
         reluForwardAvx2,
         reluBackwardAvx2,
         gemvDotRowAvx2,
+        gemmABtAvx2,
+        gemmAxpyAvx2,
         poolRowsAvx2,
         scatterAxpyRowsAvx2,
         streamWithOpsAvx2,

@@ -106,6 +106,38 @@ gemvDotRowScalar(const float *arow, const float *b, float *crow,
     }
 }
 
+// The scalar GEMM entries are the row loops the reference has always
+// run; the tiled backends must reproduce them output for output.
+void
+gemmABtScalar(const float *a, std::size_t lda, const float *b,
+              std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
+              std::size_t n, std::size_t k, bool accumulate)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const float v =
+                static_cast<float>(dotScalar(a + i * lda, b + j * ldb, k));
+            float &out = c[i * ldc + j];
+            out = accumulate ? out + v : v;
+        }
+    }
+}
+
+void
+gemmAxpyScalar(const float *a, std::size_t a_rs, std::size_t a_cs,
+               const float *b, std::size_t ldb, float *c, std::size_t ldc,
+               std::size_t m, std::size_t n, std::size_t k)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float av = a[i * a_rs + kk * a_cs];
+            if (av == 0.0f)
+                continue;
+            axpyScalar(c + i * ldc, b + kk * ldb, n, av);
+        }
+    }
+}
+
 void
 poolRowsScalar(float *dst, const float *table, const std::uint32_t *rows,
                std::size_t count, std::size_t dim)
@@ -213,6 +245,8 @@ scalarTable()
         reluForwardScalar,
         reluBackwardScalar,
         gemvDotRowScalar,
+        gemmABtScalar,
+        gemmAxpyScalar,
         poolRowsScalar,
         scatterAxpyRowsScalar,
         streamWithOpsScalar,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -161,12 +160,17 @@ DlrmModel::forward(const MiniBatch &mb, Tensor &logits, DlrmWorkspace &ws,
     }
     bottom_.forward(mb.dense, ws.bottomOut, ws.bottom, exec);
 
-    for (std::size_t t = 0; t < config_.numTables; ++t) {
-        Tensor &out = ws.embOut[t];
+    for (Tensor &out : ws.embOut) {
         if (out.rows() != batch || out.cols() != config_.embedDim)
             out.resize(batch, config_.embedDim);
-        tables_[t].forward(mb.tableIndices(t), batch, mb.pooling, out);
     }
+    // Tables gather independently (reads never promote a tiered page).
+    parallelFor(exec, config_.numTables,
+                [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t)
+            tables_[t].forward(mb.tableIndices(t), batch, mb.pooling,
+                               ws.embOut[t]);
+    });
 
     if (ws.interOut.rows() != batch ||
         ws.interOut.cols() != interaction_.outputDim()) {
@@ -346,7 +350,8 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
 void
 DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
                                           std::vector<double> &out,
-                                          const DlrmWorkspace &ws) const
+                                          const DlrmWorkspace &ws,
+                                          ExecContext &exec) const
 {
     const std::size_t batch = mb.batchSize;
     LAZYDP_ASSERT(out.size() == batch, "ghost-norm accumulator length");
@@ -354,29 +359,25 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
     // For an example whose pooled gradient is g_e, a row gathered with
     // multiplicity m receives gradient m * g_e; the squared norm of the
     // example's full table gradient is therefore
-    // (sum over unique rows m^2) * ||g_e||^2.
-    std::unordered_map<std::uint32_t, std::uint32_t> mult;
-    for (std::size_t t = 0; t < config_.numTables; ++t) {
-        const Tensor &d_out = ws.dEmbOut[t];
-        for (std::size_t e = 0; e < batch; ++e) {
-            auto idx = mb.exampleIndices(t, e);
-            double m2_sum;
-            if (mb.pooling == 1) {
-                m2_sum = 1.0;
-            } else {
-                mult.clear();
-                for (auto row : idx)
-                    ++mult[row];
-                m2_sum = 0.0;
-                for (const auto &[row, m] : mult)
-                    m2_sum += static_cast<double>(m) *
-                              static_cast<double>(m);
+    // (sum over unique rows m^2) * ||g_e||^2. That sum equals the
+    // number of ordered slot pairs (p, q) gathering the same row, an
+    // exact small integer counted without any allocation. Each
+    // example adds its tables' terms in table order.
+    const std::size_t dim = config_.embedDim;
+    parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t e = lo; e < hi; ++e) {
+            for (std::size_t t = 0; t < config_.numTables; ++t) {
+                const auto idx = mb.exampleIndices(t, e);
+                std::size_t same_pairs = idx.size();
+                for (std::size_t p = 0; p < idx.size(); ++p)
+                    for (std::size_t q = p + 1; q < idx.size(); ++q)
+                        same_pairs += idx[p] == idx[q] ? 2 : 0;
+                const double g2 = simd::squaredNorm(
+                    ws.dEmbOut[t].data() + e * dim, dim);
+                out[e] += static_cast<double>(same_pairs) * g2;
             }
-            const double g2 = simd::squaredNorm(
-                d_out.data() + e * config_.embedDim, config_.embedDim);
-            out[e] += m2_sum * g2;
         }
-    }
+    });
 }
 
 const Tensor &

@@ -1,9 +1,11 @@
 #include "nn/interaction.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/macros.h"
-#include "tensor/simd_kernels.h"
+#include "kernels/kernel_registry.h"
 
 namespace lazydp {
 
@@ -42,25 +44,37 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
 
     if (cache.rows() != batch || cache.cols() != numInputs_ * dim_)
         cache.resize(batch, numInputs_ * dim_);
-    for (std::size_t i = 0; i < numInputs_; ++i) {
-        for (std::size_t e = 0; e < batch; ++e) {
-            std::memcpy(cache.data() + (e * numInputs_ + i) * dim_,
-                        inputs[i]->data() + e * dim_,
-                        dim_ * sizeof(float));
-        }
-    }
 
+    // Per example, the pair dots are the strict upper triangle of the
+    // Gram matrix Z Z^T (Z = the example's num_inputs x dim features),
+    // computed by the tiled A * B^T kernel a block of rows at a time:
+    // rows [i0, i0 + kRows) against columns (i0, num_inputs).
+    constexpr std::size_t kRows = 8;
+    const std::size_t n = numInputs_;
+    const KernelTable &kt = kernels();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        thread_local std::vector<float> gram;
+        gram.resize(kRows * n);
         for (std::size_t e = lo; e < hi; ++e) {
             float *dst = out.data() + e * outputDim();
-            const float *feats = cache.data() + e * numInputs_ * dim_;
+            float *feats = cache.data() + e * n * dim_;
+            for (std::size_t i = 0; i < n; ++i) {
+                std::memcpy(feats + i * dim_, inputs[i]->data() + e * dim_,
+                            dim_ * sizeof(float));
+            }
             // pass-through of the dense (bottom MLP) vector
             std::memcpy(dst, feats, dim_ * sizeof(float));
             std::size_t k = dim_;
-            for (std::size_t i = 0; i < numInputs_; ++i) {
-                for (std::size_t j = i + 1; j < numInputs_; ++j) {
-                    dst[k++] = static_cast<float>(simd::dot(
-                        feats + i * dim_, feats + j * dim_, dim_));
+            for (std::size_t i0 = 0; i0 + 1 < n; i0 += kRows) {
+                const std::size_t rows = std::min(kRows, n - 1 - i0);
+                const std::size_t cols = n - 1 - i0;
+                kt.gemmABt(feats + i0 * dim_, dim_, feats + (i0 + 1) * dim_,
+                           dim_, gram.data(), n, rows, cols, dim_, false);
+                // row i's pairs (i, j > i) start at column i - i0
+                for (std::size_t r = 0; r < rows; ++r) {
+                    std::memcpy(dst + k, gram.data() + r * n + r,
+                                (cols - r) * sizeof(float));
+                    k += cols - r;
                 }
             }
         }
@@ -86,31 +100,43 @@ DotInteraction::backwardFrom(const Tensor &d_out,
     LAZYDP_ASSERT(cache.rows() == batch,
                   "interaction backward without forward");
 
-    for (Tensor *t : d_inputs) {
+    for (const Tensor *t : d_inputs) {
         LAZYDP_ASSERT(t->rows() == batch && t->cols() == dim_,
                       "interaction d_input shape");
-        t->zero();
     }
 
+    // Per example, dZ = pass-through + G Z, where G is the symmetric
+    // (zero-diagonal) matrix of pair gradients: row r of dZ receives
+    // g(r, s) * z_s for every s in ascending order, skipping zero
+    // gradients -- exactly the zero-skipping axpy order of matmulAB,
+    // so the tiled axpy kernel computes it.
+    const std::size_t n = numInputs_;
+    const KernelTable &kt = kernels();
     parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        thread_local std::vector<float> coef;
+        thread_local std::vector<float> dz;
+        coef.resize(n * n);
+        dz.resize(n * dim_);
         for (std::size_t e = lo; e < hi; ++e) {
             const float *g = d_out.data() + e * outputDim();
-            const float *feats = cache.data() + e * numInputs_ * dim_;
-            // pass-through gradient into input 0
-            simd::add(d_inputs[0]->data() + e * dim_,
-                      d_inputs[0]->data() + e * dim_, g, dim_);
+            const float *feats = cache.data() + e * n * dim_;
             std::size_t k = dim_;
-            for (std::size_t i = 0; i < numInputs_; ++i) {
-                for (std::size_t j = i + 1; j < numInputs_; ++j) {
-                    const float gk = g[k++];
-                    if (gk == 0.0f)
-                        continue;
-                    // d z_i += g * z_j ; d z_j += g * z_i
-                    simd::axpy(d_inputs[i]->data() + e * dim_,
-                               feats + j * dim_, dim_, gk);
-                    simd::axpy(d_inputs[j]->data() + e * dim_,
-                               feats + i * dim_, dim_, gk);
+            for (std::size_t i = 0; i < n; ++i) {
+                coef[i * n + i] = 0.0f;
+                for (std::size_t j = i + 1; j < n; ++j) {
+                    coef[i * n + j] = g[k];
+                    coef[j * n + i] = g[k];
+                    ++k;
                 }
+            }
+            kt.fill(dz.data(), dz.size(), 0.0f);
+            // pass-through gradient into input 0
+            kt.add(dz.data(), dz.data(), g, dim_);
+            kt.gemmAxpy(coef.data(), n, 1, feats, dim_, dz.data(), dim_, n,
+                        dim_, n);
+            for (std::size_t i = 0; i < n; ++i) {
+                std::memcpy(d_inputs[i]->data() + e * dim_,
+                            dz.data() + i * dim_, dim_ * sizeof(float));
             }
         }
     });

@@ -77,7 +77,7 @@ LinearLayer::forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
         x_cache.resize(x.rows(), x.cols());
     x_cache.copyFrom(x);
     matmulABt(x, w_, y, false, exec);
-    addRowBias(y, b_);
+    addRowBias(y, b_, exec);
 }
 
 void
@@ -111,7 +111,7 @@ LinearLayer::backwardFrom(const Tensor &d_y, const Tensor &x_cache,
     LAZYDP_ASSERT(b_grad != nullptr, "weight/bias grads travel together");
     // dW = dY^T X, db = column sums of dY
     matmulAtB(d_y, x_cache, *w_grad, false, exec);
-    reduceRows(d_y, *b_grad);
+    reduceRows(d_y, *b_grad, exec);
 }
 
 void
@@ -124,18 +124,21 @@ LinearLayer::accumulateGhostNormSq(const Tensor &d_y,
 void
 LinearLayer::accumulateGhostNormSqFrom(const Tensor &d_y,
                                        const Tensor &x_cache,
-                                       std::vector<double> &out) const
+                                       std::vector<double> &out,
+                                       ExecContext &exec) const
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(out.size() == batch, "ghost-norm accumulator length");
     LAZYDP_ASSERT(x_cache.rows() == batch, "ghost norm needs forward cache");
-    for (std::size_t e = 0; e < batch; ++e) {
-        const double g2 =
-            simd::squaredNorm(d_y.data() + e * out_, out_);
-        const double a2 =
-            simd::squaredNorm(x_cache.data() + e * in_, in_);
-        out[e] += g2 * a2 + g2; // weight term + bias term
-    }
+    parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t e = lo; e < hi; ++e) {
+            const double g2 =
+                simd::squaredNorm(d_y.data() + e * out_, out_);
+            const double a2 =
+                simd::squaredNorm(x_cache.data() + e * in_, in_);
+            out[e] += g2 * a2 + g2; // weight term + bias term
+        }
+    });
 }
 
 void
@@ -231,7 +234,11 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
             // ReLU in place on a copy kept as the next layer's input;
             // we keep z pre-activation for the backward mask, so apply
             // ReLU into the next buffer.
-            simd::reluForward(z.data(), z.data(), z.size());
+            const std::size_t cols = z.cols();
+            parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+                simd::reluForward(z.data() + lo * cols, z.data() + lo * cols,
+                                  (hi - lo) * cols);
+            });
         }
         cur = &z;
     }
@@ -243,7 +250,7 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
 template <typename LayerHook>
 void
 Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
-                  LayerHook &&hook) const
+                  ExecContext &exec, LayerHook &&hook) const
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(d_y.cols() == dims_.back(), "MLP upstream grad width");
@@ -274,8 +281,13 @@ Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
             // the mask of (pre-relu > 0) except at exactly 0 where both
             // are 0 -- identical gradients.
             const Tensor &activated = ws.zCache[li - 1];
-            simd::reluBackward(dst->data(), activated.data(), dst->data(),
-                               dst->size());
+            const std::size_t cols = dst->cols();
+            parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
+                simd::reluBackward(dst->data() + lo * cols,
+                                   activated.data() + lo * cols,
+                                   dst->data() + lo * cols,
+                                   (hi - lo) * cols);
+            });
             cur_grad = dst;
         }
     }
@@ -294,12 +306,12 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
               std::vector<double> *ghost_norm_sq, bool skip_param_grads,
               MlpWorkspace &ws, ExecContext &exec)
 {
-    backwardImpl(d_y, d_x, ws,
+    backwardImpl(d_y, d_x, ws, exec,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
                          layer.accumulateGhostNormSqFrom(
-                             g, ws.xCache[li], *ghost_norm_sq);
+                             g, ws.xCache[li], *ghost_norm_sq, exec);
                      layer.backwardFrom(
                          g, ws.xCache[li], dx,
                          skip_param_grads ? nullptr : &layer.weightGrad(),
@@ -318,12 +330,12 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
                       "workspace backward needs caller-owned grad sums");
         sums->ensureShape(*this);
     }
-    backwardImpl(d_y, d_x, ws,
+    backwardImpl(d_y, d_x, ws, exec,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
                          layer.accumulateGhostNormSqFrom(
-                             g, ws.xCache[li], *ghost_norm_sq);
+                             g, ws.xCache[li], *ghost_norm_sq, exec);
                      layer.backwardFrom(
                          g, ws.xCache[li], dx,
                          skip_param_grads ? nullptr : &sums->w[li],
@@ -346,7 +358,7 @@ Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(norm_sq.size() == batch, "norm accumulator length");
-    backwardImpl(d_y, d_x, ws,
+    backwardImpl(d_y, d_x, ws, exec,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      layer.perExampleGradsFrom(g, ws.xCache[li], ws.normW,
@@ -382,7 +394,7 @@ Mlp::backwardPerExample(const Tensor &d_y, Tensor *d_x,
 {
     grads.w.resize(layers_.size());
     grads.b.resize(layers_.size());
-    backwardImpl(d_y, d_x, ws,
+    backwardImpl(d_y, d_x, ws, exec,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      layer.perExampleGradsFrom(g, ws.xCache[li],

@@ -136,9 +136,9 @@ class LinearLayer
                                std::vector<double> &out) const;
 
     /** Workspace ghost norms: reads the caller's @p x_cache. */
-    void accumulateGhostNormSqFrom(const Tensor &d_y,
-                                   const Tensor &x_cache,
-                                   std::vector<double> &out) const;
+    void accumulateGhostNormSqFrom(
+        const Tensor &d_y, const Tensor &x_cache, std::vector<double> &out,
+        ExecContext &exec = ExecContext::serial()) const;
 
     /**
      * Materialized per-example gradients (DP-SGD(B) path):
@@ -312,7 +312,7 @@ class Mlp
      */
     template <typename LayerHook>
     void backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
-                      LayerHook &&hook) const;
+                      ExecContext &exec, LayerHook &&hook) const;
 
     std::vector<std::size_t> dims_;
     std::vector<LinearLayer> layers_;

@@ -1,14 +1,36 @@
 #include "tensor/matmul.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "kernels/kernel_registry.h"
 #include "tensor/simd_kernels.h"
 
 // The DLRM GEMMs are embarrassingly parallel across output rows; each
-// row's accumulation stays within one thread, so the results are
+// output's accumulation stays within one kernel call, in an order that
+// does not depend on which rows share the call, so the results are
 // bit-identical at any thread count (only the row partition changes).
 
 namespace lazydp {
+
+namespace {
+
+/** Rows handed to one tiled kernel call at a time (a multiple of every
+ *  backend's tile height, so only the last block has a short tile). */
+constexpr std::size_t kRowBlock = 8;
+
+/** Run body(row_lo, row_hi) over [0, m) in kRowBlock-row blocks. */
+template <typename Body>
+void
+forRowBlocks(ExecContext &exec, std::size_t m, const Body &body)
+{
+    const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+    parallelFor(exec, blocks, [&](std::size_t lo, std::size_t hi) {
+        body(lo * kRowBlock, std::min(m, hi * kRowBlock));
+    });
+}
+
+} // namespace
 
 void
 matmulABt(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
@@ -21,11 +43,19 @@ matmulABt(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
     LAZYDP_ASSERT(c.rows() == m && c.cols() == n, "matmulABt out shape");
 
     const KernelTable &kt = kernels();
-    parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            kt.gemvDotRow(a.data() + i * k, b.data(), c.data() + i * n,
-                          n, k, accumulate);
-        }
+    if (m < kGemmTileMinRows) {
+        // Too few rows to share a tile: one output row per call.
+        parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                kt.gemvDotRow(a.data() + i * k, b.data(),
+                              c.data() + i * n, n, k, accumulate);
+            }
+        });
+        return;
+    }
+    forRowBlocks(exec, m, [&](std::size_t lo, std::size_t hi) {
+        kt.gemmABt(a.data() + lo * k, k, b.data(), k, c.data() + lo * n, n,
+                   hi - lo, n, k, accumulate);
     });
 }
 
@@ -41,19 +71,11 @@ matmulAB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 
     if (!accumulate)
         c.zero();
-    // i-k-j loop order: the inner loop is an axpy over contiguous rows
-    // of B and C, which vectorizes well; rows of C are independent.
-    parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = c.data() + i * n;
-            const float *arow = a.data() + i * k;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = arow[kk];
-                if (av == 0.0f)
-                    continue;
-                simd::axpy(crow, b.data() + kk * n, n, av);
-            }
-        }
+    // Row i of C accumulates a(i, kk) * row kk of B over ascending kk.
+    const KernelTable &kt = kernels();
+    forRowBlocks(exec, m, [&](std::size_t lo, std::size_t hi) {
+        kt.gemmAxpy(a.data() + lo * k, k, 1, b.data(), n, c.data() + lo * n,
+                    n, hi - lo, n, k);
     });
 }
 
@@ -69,40 +91,39 @@ matmulAtB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 
     if (!accumulate)
         c.zero();
-    // parallelize over output rows i (each accumulates its own row of
-    // C); the column walk over A is strided but race-free
-    parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            float *crow = c.data() + i * n;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = a.data()[kk * m + i];
-                if (av == 0.0f)
-                    continue;
-                simd::axpy(crow, b.data() + kk * n, n, av);
-            }
-        }
+    // Row i of C accumulates a(kk, i) * row kk of B: column i of A is
+    // the coefficient row, walked with stride m.
+    const KernelTable &kt = kernels();
+    forRowBlocks(exec, m, [&](std::size_t lo, std::size_t hi) {
+        kt.gemmAxpy(a.data() + lo, 1, m, b.data(), n, c.data() + lo * n, n,
+                    hi - lo, n, k);
     });
 }
 
 void
-addRowBias(Tensor &x, const Tensor &bias)
+addRowBias(Tensor &x, const Tensor &bias, ExecContext &exec)
 {
     LAZYDP_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
                   "addRowBias shape mismatch");
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        simd::add(x.data() + r * x.cols(), x.data() + r * x.cols(),
-                  bias.data(), x.cols());
+    const std::size_t n = x.cols();
+    parallelFor(exec, x.rows(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r)
+            simd::add(x.data() + r * n, x.data() + r * n, bias.data(), n);
+    });
 }
 
 void
-reduceRows(const Tensor &dy, Tensor &bias_grad)
+reduceRows(const Tensor &dy, Tensor &bias_grad, ExecContext &exec)
 {
     LAZYDP_ASSERT(bias_grad.rows() == 1 && bias_grad.cols() == dy.cols(),
                   "reduceRows shape mismatch");
     bias_grad.zero();
-    for (std::size_t r = 0; r < dy.rows(); ++r)
-        simd::add(bias_grad.data(), bias_grad.data(),
-                  dy.data() + r * dy.cols(), dy.cols());
+    const std::size_t n = dy.cols();
+    parallelFor(exec, n, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = 0; r < dy.rows(); ++r)
+            simd::add(bias_grad.data() + lo, bias_grad.data() + lo,
+                      dy.data() + r * n + lo, hi - lo);
+    });
 }
 
 } // namespace lazydp

@@ -1,10 +1,23 @@
 /**
  * @file
- * Small GEMM kernels for the DLRM MLP layers.
+ * GEMMs for the DLRM MLP layers, dispatched to the kernel registry.
  *
- * The MLP sizes in the paper's configurations are modest (<=1024 wide),
- * so a register-blocked loop with AVX2 FMA is sufficient; the training
- * bottleneck the paper studies is the embedding table, not the GEMM.
+ * Each product has one per-output operation order, and every backend,
+ * tile shape and thread count reproduces it exactly:
+ *
+ *  - matmulABt: each output is float(dot(a_i, b_j)), the registry's
+ *    blocked dot (float products widened to double, kReduceBlock
+ *    partials added in block order; see kernels/kernel_registry.h).
+ *  - matmulAB / matmulAtB: row i of C starts from zero (or its old
+ *    value when accumulating) and receives coef * row kk of B for every
+ *    kk in ascending order whose coefficient is nonzero, as a loop of
+ *    axpy calls would; zero coefficients of either sign are skipped.
+ *
+ * Row-count switch: matmulABt with fewer than kGemmTileMinRows rows
+ * runs the row kernel (KernelTable::gemvDotRow, one output row per
+ * call), as single-request serve batches always have; larger products
+ * run the register-tiled KernelTable::gemmABt over blocks of rows. matmulAB and matmulAtB always run KernelTable::gemmAxpy. The
+ * switch changes speed only: both kernels give the same bits.
  */
 
 #ifndef LAZYDP_TENSOR_MATMUL_H
@@ -16,6 +29,14 @@
 #include "tensor/tensor.h"
 
 namespace lazydp {
+
+/**
+ * Fewest rows for which matmulABt runs the tiled kernel. Below it the
+ * tile degenerates to one-row strips and ties the row kernel; from 4
+ * rows on a serial serve-sized whole-model forward ran 5-10% faster
+ * with the tile (AVX-512 host, the benchmark's model).
+ */
+constexpr std::size_t kGemmTileMinRows = 4;
 
 /**
  * C = A * B^T.
@@ -57,10 +78,15 @@ void matmulAtB(const Tensor &a, const Tensor &b, Tensor &c,
                ExecContext &exec = ExecContext::serial());
 
 /** y[r] += bias for every row r of (batch x dim) tensor. */
-void addRowBias(Tensor &x, const Tensor &bias);
+void addRowBias(Tensor &x, const Tensor &bias,
+                ExecContext &exec = ExecContext::serial());
 
-/** bias_grad[c] = sum_r dy(r, c). */
-void reduceRows(const Tensor &dy, Tensor &bias_grad);
+/**
+ * bias_grad[c] = sum_r dy(r, c), each column summed over ascending r
+ * (columns are split across the context's threads).
+ */
+void reduceRows(const Tensor &dy, Tensor &bias_grad,
+                ExecContext &exec = ExecContext::serial());
 
 } // namespace lazydp
 

@@ -271,6 +271,35 @@ TEST(ParallelForTest, SerialContextAndPoolAgree)
     }
 }
 
+TEST(ParallelForTest, ChunksCoverEveryIndexExactlyOnce)
+{
+    for (const std::size_t width : {2u, 3u, 4u}) {
+        ThreadPool pool(width);
+        ExecContext exec(&pool);
+        const std::size_t per = kParallelForChunksPerThread * width;
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, width, per - 1, per, per + 1,
+              std::size_t{100003}}) {
+            std::vector<std::atomic<int>> visits(n);
+            std::atomic<std::size_t> calls{0};
+            std::atomic<bool> empty_chunk{false};
+            parallelFor(exec, n, [&](std::size_t lo, std::size_t hi) {
+                if (lo >= hi)
+                    empty_chunk = true;
+                calls.fetch_add(1);
+                for (std::size_t i = lo; i < hi; ++i)
+                    visits[i].fetch_add(1);
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(visits[i].load(), 1)
+                    << "index " << i << " at n=" << n << " width=" << width;
+            EXPECT_FALSE(empty_chunk.load()) << "n=" << n;
+            // A few chunks per thread, never more chunks than indices.
+            EXPECT_EQ(calls.load(), std::min(n, per)) << "n=" << n;
+        }
+    }
+}
+
 TEST(ParallelForTest, EmptyRangeNeverInvokesBody)
 {
     ThreadPool pool(4);

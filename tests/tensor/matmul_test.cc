@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/thread_pool.h"
 #include "rng/xoshiro.h"
 #include "tensor/matmul.h"
 
@@ -122,6 +125,61 @@ TEST(MatmulTest, ReduceRowsSumsColumns)
     reduceRows(dy, bias_grad);
     EXPECT_EQ(bias_grad.at(0, 0), 6.0f);
     EXPECT_EQ(bias_grad.at(0, 1), 30.0f);
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(MatmulTest, ThreadedProductsMatchSerialBitwise)
+{
+    // Row counts on both sides of the tile switch and across row-block
+    // edges; ReLU-like zeros in the axpy operands. Pool workers share A
+    // and B and write disjoint rows of C.
+    ThreadPool pool(4);
+    ExecContext exec(&pool);
+    const Shape shapes[] = {{1, 33, 17},   {3, 64, 9},    {4, 65, 40},
+                            {17, 479, 31}, {256, 128, 64}, {61, 13, 130}};
+    std::uint64_t seed = 100;
+    for (const auto &[m, k, n] : shapes) {
+        const Tensor a = randomTensor(m, k, ++seed);
+        const Tensor bt = randomTensor(n, k, ++seed);
+        Tensor serial(m, n), threaded(m, n);
+        matmulABt(a, bt, serial);
+        matmulABt(a, bt, threaded, false, exec);
+        EXPECT_TRUE(sameBits(serial, threaded)) << "ABt m=" << m;
+
+        Tensor sparse = randomTensor(m, k, ++seed);
+        for (std::size_t i = 0; i < sparse.size(); i += 2)
+            sparse.data()[i] = 0.0f;
+        const Tensor b = randomTensor(k, n, ++seed);
+        matmulAB(sparse, b, serial);
+        matmulAB(sparse, b, threaded, false, exec);
+        EXPECT_TRUE(sameBits(serial, threaded)) << "AB m=" << m;
+
+        Tensor sparse_t(k, m);
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t kk = 0; kk < k; ++kk)
+                sparse_t.at(kk, i) = sparse.at(i, kk);
+        Tensor serial_t(m, n), threaded_t(m, n);
+        matmulAtB(sparse_t, b, serial_t);
+        matmulAtB(sparse_t, b, threaded_t, false, exec);
+        EXPECT_TRUE(sameBits(serial_t, threaded_t)) << "AtB m=" << m;
+        EXPECT_TRUE(sameBits(serial, serial_t)) << "AtB != AB m=" << m;
+
+        Tensor bias = randomTensor(1, n, ++seed);
+        addRowBias(serial, bias);
+        addRowBias(threaded, bias, exec);
+        EXPECT_TRUE(sameBits(serial, threaded)) << "bias m=" << m;
+        Tensor grad_serial(1, n), grad_threaded(1, n);
+        reduceRows(serial, grad_serial);
+        reduceRows(threaded, grad_threaded, exec);
+        EXPECT_TRUE(sameBits(grad_serial, grad_threaded))
+            << "reduceRows m=" << m;
+    }
 }
 
 } // namespace
