@@ -36,6 +36,17 @@ namespace kernels_detail {
 
 namespace {
 
+/**
+ * a * x + y with one rounding, as the vector FMAs compute it: the
+ * scalar tails must give each element the vector body's arithmetic, and
+ * the build compiles with -ffp-contract=off, so they say so explicitly.
+ */
+inline float
+fusedMulAdd(float a, float x, float y)
+{
+    return __builtin_fmaf(a, x, y);
+}
+
 void
 fillAvx2(float *dst, std::size_t n, float v)
 {
@@ -59,7 +70,7 @@ axpyAvx2(float *y, const float *x, std::size_t n, float a)
         _mm256_storeu_ps(y + i, vy);
     }
     for (; i < n; ++i)
-        y[i] += a * x[i];
+        y[i] = fusedMulAdd(a, x[i], y[i]);
 }
 
 void
@@ -75,7 +86,7 @@ axpbyAvx2(float *y, const float *x, std::size_t n, float a, float b)
         _mm256_storeu_ps(y + i, vy);
     }
     for (; i < n; ++i)
-        y[i] = a * x[i] + b * y[i];
+        y[i] = fusedMulAdd(a, x[i], b * y[i]);
 }
 
 void
