@@ -34,8 +34,8 @@
  *    FMA-bearing kernels (axpy/axpby/scatter/gemv and the tiled
  *    GEMMs) and the blocked reductions agree within a few ULP; the
  *    Box-Muller fill agrees within |diff| < 1e-5 * sigma per sample
- *    (polynomial vs libm transcendentals). The kernel-parity suite (tests/kernels/) pins
- *    these tolerances.
+ *    (polynomial vs libm transcendentals). The kernel-parity suite
+ *    (tests/kernels/) pins these tolerances.
  *  - The scalar backend is the golden reference: the golden-model
  *    regression hashes (tests/kernels/golden_model_test.cc) are
  *    recorded under kernels=scalar.

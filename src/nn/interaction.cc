@@ -45,10 +45,11 @@ DotInteraction::forwardInto(const std::vector<const Tensor *> &inputs,
     if (cache.rows() != batch || cache.cols() != numInputs_ * dim_)
         cache.resize(batch, numInputs_ * dim_);
 
-    // Per example, the pair dots are the strict upper triangle of the
-    // Gram matrix Z Z^T (Z = the example's num_inputs x dim features),
-    // computed by the tiled A * B^T kernel a block of rows at a time:
-    // rows [i0, i0 + kRows) against columns (i0, num_inputs).
+    // Per example, the features are gathered into the example's cache
+    // row Z (num_inputs x dim), and the pair dots are the strict upper
+    // triangle of the Gram matrix Z Z^T, computed by the tiled A * B^T
+    // kernel a block of rows at a time: rows [i0, i0 + kRows) against
+    // columns (i0, num_inputs).
     constexpr std::size_t kRows = 8;
     const std::size_t n = numInputs_;
     const KernelTable &kt = kernels();

@@ -15,6 +15,14 @@ namespace lazydp {
 
 namespace {
 
+/**
+ * Fewest rows for which matmulABt runs the tiled kernel. Below it the
+ * tile degenerates to one-row strips and ties the row kernel; from 4
+ * rows on a serial serve-sized whole-model forward ran 5-10% faster
+ * with the tile (AVX-512 host, the benchmark's model).
+ */
+constexpr std::size_t kGemmTileMinRows = 4;
+
 /** Rows handed to one tiled kernel call at a time (a multiple of every
  *  backend's tile height, so only the last block has a short tile). */
 constexpr std::size_t kRowBlock = 8;

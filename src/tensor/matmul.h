@@ -13,10 +13,11 @@
  *    kk in ascending order whose coefficient is nonzero, as a loop of
  *    axpy calls would; zero coefficients of either sign are skipped.
  *
- * Row-count switch: matmulABt with fewer than kGemmTileMinRows rows
- * runs the row kernel (KernelTable::gemvDotRow, one output row per
- * call), as single-request serve batches always have; larger products
- * run the register-tiled KernelTable::gemmABt over blocks of rows. matmulAB and matmulAtB always run KernelTable::gemmAxpy. The
+ * Row-count switch: matmulABt with fewer than kGemmTileMinRows (4)
+ * rows runs the row kernel (KernelTable::gemvDotRow, one output row
+ * per call), as single-request serve batches always have; larger
+ * products run the register-tiled KernelTable::gemmABt over blocks of
+ * rows. matmulAB and matmulAtB always run KernelTable::gemmAxpy. The
  * switch changes speed only: both kernels give the same bits.
  */
 
@@ -29,14 +30,6 @@
 #include "tensor/tensor.h"
 
 namespace lazydp {
-
-/**
- * Fewest rows for which matmulABt runs the tiled kernel. Below it the
- * tile degenerates to one-row strips and ties the row kernel; from 4
- * rows on a serial serve-sized whole-model forward ran 5-10% faster
- * with the tile (AVX-512 host, the benchmark's model).
- */
-constexpr std::size_t kGemmTileMinRows = 4;
 
 /**
  * C = A * B^T.

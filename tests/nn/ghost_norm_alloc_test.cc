@@ -32,13 +32,15 @@ operator new(std::size_t bytes)
     throw std::bad_alloc();
 }
 
-void
+// Out of line, so the compiler does not pair these free() calls with a
+// new-expression at an inlined call site and warn about a mismatch.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
