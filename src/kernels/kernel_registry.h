@@ -105,7 +105,8 @@ struct KernelTable
     /**
      * GEMV row kernel of C = A * B^T: crow[j] (+)= dot(arow, b_j) for
      * j in [0, n), where b_j = b + j*k is row j of the (n x k) matrix
-     * B. One call computes one output row of the MLP GEMMs.
+     * B. The reference row path that gemmABt must reproduce; the MLP
+     * GEMMs themselves run gemmABt.
      */
     void (*gemvDotRow)(const float *arow, const float *b, float *crow,
                        std::size_t n, std::size_t k, bool accumulate);

@@ -15,14 +15,6 @@ namespace lazydp {
 
 namespace {
 
-/**
- * Fewest rows for which matmulABt runs the tiled kernel. Below it the
- * tile degenerates to one-row strips and ties the row kernel; from 4
- * rows on a serial serve-sized whole-model forward ran 5-10% faster
- * with the tile (AVX-512 host, the benchmark's model).
- */
-constexpr std::size_t kGemmTileMinRows = 4;
-
 /** Rows handed to one tiled kernel call at a time (a multiple of every
  *  backend's tile height, so only the last block has a short tile). */
 constexpr std::size_t kRowBlock = 8;
@@ -51,16 +43,6 @@ matmulABt(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
     LAZYDP_ASSERT(c.rows() == m && c.cols() == n, "matmulABt out shape");
 
     const KernelTable &kt = kernels();
-    if (m < kGemmTileMinRows) {
-        // Too few rows to share a tile: one output row per call.
-        parallelFor(exec, m, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                kt.gemvDotRow(a.data() + i * k, b.data(),
-                              c.data() + i * n, n, k, accumulate);
-            }
-        });
-        return;
-    }
     forRowBlocks(exec, m, [&](std::size_t lo, std::size_t hi) {
         kt.gemmABt(a.data() + lo * k, k, b.data(), k, c.data() + lo * n, n,
                    hi - lo, n, k, accumulate);

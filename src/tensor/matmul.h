@@ -13,12 +13,10 @@
  *    kk in ascending order whose coefficient is nonzero, as a loop of
  *    axpy calls would; zero coefficients of either sign are skipped.
  *
- * Row-count switch: matmulABt with fewer than kGemmTileMinRows (4)
- * rows runs the row kernel (KernelTable::gemvDotRow, one output row
- * per call), as single-request serve batches always have; larger
- * products run the register-tiled KernelTable::gemmABt over blocks of
- * rows. matmulAB and matmulAtB always run KernelTable::gemmAxpy. The
- * switch changes speed only: both kernels give the same bits.
+ * matmulABt always runs the register-tiled KernelTable::gemmABt over
+ * blocks of rows, serve batches of one row included (the tile then
+ * runs one-row strips, as fast as the row kernel gemvDotRow);
+ * matmulAB and matmulAtB always run KernelTable::gemmAxpy.
  */
 
 #ifndef LAZYDP_TENSOR_MATMUL_H
