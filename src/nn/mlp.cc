@@ -77,7 +77,7 @@ LinearLayer::forwardInto(const Tensor &x, Tensor &y, Tensor &x_cache,
         x_cache.resize(x.rows(), x.cols());
     x_cache.copyFrom(x);
     matmulABt(x, w_, y, false, exec);
-    addRowBias(y, b_, exec);
+    addRowBias(y, b_);
 }
 
 void
@@ -111,7 +111,7 @@ LinearLayer::backwardFrom(const Tensor &d_y, const Tensor &x_cache,
     LAZYDP_ASSERT(b_grad != nullptr, "weight/bias grads travel together");
     // dW = dY^T X, db = column sums of dY
     matmulAtB(d_y, x_cache, *w_grad, false, exec);
-    reduceRows(d_y, *b_grad, exec);
+    reduceRows(d_y, *b_grad);
 }
 
 void
@@ -234,11 +234,7 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
             // ReLU in place on a copy kept as the next layer's input;
             // we keep z pre-activation for the backward mask, so apply
             // ReLU into the next buffer.
-            const std::size_t cols = z.cols();
-            parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
-                simd::reluForward(z.data() + lo * cols, z.data() + lo * cols,
-                                  (hi - lo) * cols);
-            });
+            simd::reluForward(z.data(), z.data(), z.size());
         }
         cur = &z;
     }
@@ -250,7 +246,7 @@ Mlp::forward(const Tensor &x, Tensor &y, MlpWorkspace &ws,
 template <typename LayerHook>
 void
 Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
-                  ExecContext &exec, LayerHook &&hook) const
+                  LayerHook &&hook) const
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(d_y.cols() == dims_.back(), "MLP upstream grad width");
@@ -281,13 +277,8 @@ Mlp::backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
             // the mask of (pre-relu > 0) except at exactly 0 where both
             // are 0 -- identical gradients.
             const Tensor &activated = ws.zCache[li - 1];
-            const std::size_t cols = dst->cols();
-            parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
-                simd::reluBackward(dst->data() + lo * cols,
-                                   activated.data() + lo * cols,
-                                   dst->data() + lo * cols,
-                                   (hi - lo) * cols);
-            });
+            simd::reluBackward(dst->data(), activated.data(), dst->data(),
+                               dst->size());
             cur_grad = dst;
         }
     }
@@ -306,7 +297,7 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
               std::vector<double> *ghost_norm_sq, bool skip_param_grads,
               MlpWorkspace &ws, ExecContext &exec)
 {
-    backwardImpl(d_y, d_x, ws, exec,
+    backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
@@ -330,7 +321,7 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
                       "workspace backward needs caller-owned grad sums");
         sums->ensureShape(*this);
     }
-    backwardImpl(d_y, d_x, ws, exec,
+    backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
@@ -358,7 +349,7 @@ Mlp::backwardNormsOnly(const Tensor &d_y, Tensor *d_x,
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(norm_sq.size() == batch, "norm accumulator length");
-    backwardImpl(d_y, d_x, ws, exec,
+    backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      layer.perExampleGradsFrom(g, ws.xCache[li], ws.normW,
@@ -394,7 +385,7 @@ Mlp::backwardPerExample(const Tensor &d_y, Tensor *d_x,
 {
     grads.w.resize(layers_.size());
     grads.b.resize(layers_.size());
-    backwardImpl(d_y, d_x, ws, exec,
+    backwardImpl(d_y, d_x, ws,
                  [&](std::size_t li, const Tensor &g, Tensor *dx) {
                      const LinearLayer &layer = layers_[li];
                      layer.perExampleGradsFrom(g, ws.xCache[li],

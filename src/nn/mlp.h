@@ -312,7 +312,7 @@ class Mlp
      */
     template <typename LayerHook>
     void backwardImpl(const Tensor &d_y, Tensor *d_x, MlpWorkspace &ws,
-                      ExecContext &exec, LayerHook &&hook) const;
+                      LayerHook &&hook) const;
 
     std::vector<std::size_t> dims_;
     std::vector<LinearLayer> layers_;

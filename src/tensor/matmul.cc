@@ -91,29 +91,24 @@ matmulAtB(const Tensor &a, const Tensor &b, Tensor &c, bool accumulate,
 }
 
 void
-addRowBias(Tensor &x, const Tensor &bias, ExecContext &exec)
+addRowBias(Tensor &x, const Tensor &bias)
 {
     LAZYDP_ASSERT(bias.rows() == 1 && bias.cols() == x.cols(),
                   "addRowBias shape mismatch");
-    const std::size_t n = x.cols();
-    parallelFor(exec, x.rows(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r)
-            simd::add(x.data() + r * n, x.data() + r * n, bias.data(), n);
-    });
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        simd::add(x.data() + r * x.cols(), x.data() + r * x.cols(),
+                  bias.data(), x.cols());
 }
 
 void
-reduceRows(const Tensor &dy, Tensor &bias_grad, ExecContext &exec)
+reduceRows(const Tensor &dy, Tensor &bias_grad)
 {
     LAZYDP_ASSERT(bias_grad.rows() == 1 && bias_grad.cols() == dy.cols(),
                   "reduceRows shape mismatch");
     bias_grad.zero();
-    const std::size_t n = dy.cols();
-    parallelFor(exec, n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = 0; r < dy.rows(); ++r)
-            simd::add(bias_grad.data() + lo, bias_grad.data() + lo,
-                      dy.data() + r * n + lo, hi - lo);
-    });
+    for (std::size_t r = 0; r < dy.rows(); ++r)
+        simd::add(bias_grad.data(), bias_grad.data(),
+                  dy.data() + r * dy.cols(), dy.cols());
 }
 
 } // namespace lazydp

@@ -69,15 +69,10 @@ void matmulAtB(const Tensor &a, const Tensor &b, Tensor &c,
                ExecContext &exec = ExecContext::serial());
 
 /** y[r] += bias for every row r of (batch x dim) tensor. */
-void addRowBias(Tensor &x, const Tensor &bias,
-                ExecContext &exec = ExecContext::serial());
+void addRowBias(Tensor &x, const Tensor &bias);
 
-/**
- * bias_grad[c] = sum_r dy(r, c), each column summed over ascending r
- * (columns are split across the context's threads).
- */
-void reduceRows(const Tensor &dy, Tensor &bias_grad,
-                ExecContext &exec = ExecContext::serial());
+/** bias_grad[c] = sum_r dy(r, c). */
+void reduceRows(const Tensor &dy, Tensor &bias_grad);
 
 } // namespace lazydp
 
