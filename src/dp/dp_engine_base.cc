@@ -53,7 +53,7 @@ DpEngineBase::produceShardGrads(std::uint64_t iter, GradShard &s,
     s.normSq.assign(s.batch.batchSize, 0.0);
     model_.backward(s.dLogits, &s.normSq, /*skip_param_grads=*/true,
                     s.ws, nullptr, exec);
-    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws, exec);
+    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws);
     clipScales(s.normSq, hyper_.clipNorm, s.scales);
     s.timer.stop();
 

@@ -40,7 +40,7 @@ DpSgdB::produceShardGrads(std::uint64_t iter, GradShard &s,
     };
     add_norms(s.topPe);
     add_norms(s.bottomPe);
-    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws, exec);
+    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws);
 
     // Clip + reduce the materialized per-example grads into the shard's
     // gradient sums: w_sum = sum_e scale_e * dW_e.

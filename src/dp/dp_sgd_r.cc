@@ -13,7 +13,7 @@ DpSgdR::produceShardGrads(std::uint64_t iter, GradShard &s,
     s.timer.start(Stage::BackwardPerExample);
     s.normSq.assign(s.batch.batchSize, 0.0);
     model_.backwardNormsOnly(s.dLogits, s.normSq, s.ws, exec);
-    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws, exec);
+    model_.accumulateEmbeddingGhostNormSq(s.batch, s.normSq, s.ws);
     clipScales(s.normSq, hyper_.clipNorm, s.scales);
     s.timer.stop();
 

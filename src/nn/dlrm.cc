@@ -350,8 +350,7 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
 void
 DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
                                           std::vector<double> &out,
-                                          const DlrmWorkspace &ws,
-                                          ExecContext &exec) const
+                                          const DlrmWorkspace &ws) const
 {
     const std::size_t batch = mb.batchSize;
     LAZYDP_ASSERT(out.size() == batch, "ghost-norm accumulator length");
@@ -361,23 +360,20 @@ DlrmModel::accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
     // example's full table gradient is therefore
     // (sum over unique rows m^2) * ||g_e||^2. That sum equals the
     // number of ordered slot pairs (p, q) gathering the same row, an
-    // exact small integer counted without any allocation. Each
-    // example adds its tables' terms in table order.
+    // exact small integer counted without any allocation.
     const std::size_t dim = config_.embedDim;
-    parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-            for (std::size_t t = 0; t < config_.numTables; ++t) {
-                const auto idx = mb.exampleIndices(t, e);
-                std::size_t same_pairs = idx.size();
-                for (std::size_t p = 0; p < idx.size(); ++p)
-                    for (std::size_t q = p + 1; q < idx.size(); ++q)
-                        same_pairs += idx[p] == idx[q] ? 2 : 0;
-                const double g2 = simd::squaredNorm(
-                    ws.dEmbOut[t].data() + e * dim, dim);
-                out[e] += static_cast<double>(same_pairs) * g2;
-            }
+    for (std::size_t t = 0; t < config_.numTables; ++t) {
+        const Tensor &d_out = ws.dEmbOut[t];
+        for (std::size_t e = 0; e < batch; ++e) {
+            const auto idx = mb.exampleIndices(t, e);
+            std::size_t same_pairs = idx.size();
+            for (std::size_t p = 0; p < idx.size(); ++p)
+                for (std::size_t q = p + 1; q < idx.size(); ++q)
+                    same_pairs += idx[p] == idx[q] ? 2 : 0;
+            const double g2 = simd::squaredNorm(d_out.data() + e * dim, dim);
+            out[e] += static_cast<double>(same_pairs) * g2;
         }
-    });
+    }
 }
 
 const Tensor &

@@ -241,14 +241,10 @@ class DlrmModel
     void accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
                                         std::vector<double> &out) const;
 
-    /**
-     * Workspace variant: reads pooled grads from @p ws .dEmbOut;
-     * examples are split across @p exec 's threads.
-     */
-    void accumulateEmbeddingGhostNormSq(
-        const MiniBatch &mb, std::vector<double> &out,
-        const DlrmWorkspace &ws,
-        ExecContext &exec = ExecContext::serial()) const;
+    /** Workspace variant: reads pooled grads from @p ws .dEmbOut. */
+    void accumulateEmbeddingGhostNormSq(const MiniBatch &mb,
+                                        std::vector<double> &out,
+                                        const DlrmWorkspace &ws) const;
 
     /** @return pooled-output gradient of table @p t (batch x dim). */
     const Tensor &embOutGrad(std::size_t t) const;

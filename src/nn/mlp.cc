@@ -124,21 +124,18 @@ LinearLayer::accumulateGhostNormSq(const Tensor &d_y,
 void
 LinearLayer::accumulateGhostNormSqFrom(const Tensor &d_y,
                                        const Tensor &x_cache,
-                                       std::vector<double> &out,
-                                       ExecContext &exec) const
+                                       std::vector<double> &out) const
 {
     const std::size_t batch = d_y.rows();
     LAZYDP_ASSERT(out.size() == batch, "ghost-norm accumulator length");
     LAZYDP_ASSERT(x_cache.rows() == batch, "ghost norm needs forward cache");
-    parallelFor(exec, batch, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t e = lo; e < hi; ++e) {
-            const double g2 =
-                simd::squaredNorm(d_y.data() + e * out_, out_);
-            const double a2 =
-                simd::squaredNorm(x_cache.data() + e * in_, in_);
-            out[e] += g2 * a2 + g2; // weight term + bias term
-        }
-    });
+    for (std::size_t e = 0; e < batch; ++e) {
+        const double g2 =
+            simd::squaredNorm(d_y.data() + e * out_, out_);
+        const double a2 =
+            simd::squaredNorm(x_cache.data() + e * in_, in_);
+        out[e] += g2 * a2 + g2; // weight term + bias term
+    }
 }
 
 void
@@ -302,7 +299,7 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
                      LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
                          layer.accumulateGhostNormSqFrom(
-                             g, ws.xCache[li], *ghost_norm_sq, exec);
+                             g, ws.xCache[li], *ghost_norm_sq);
                      layer.backwardFrom(
                          g, ws.xCache[li], dx,
                          skip_param_grads ? nullptr : &layer.weightGrad(),
@@ -326,7 +323,7 @@ Mlp::backward(const Tensor &d_y, Tensor *d_x,
                      const LinearLayer &layer = layers_[li];
                      if (ghost_norm_sq != nullptr)
                          layer.accumulateGhostNormSqFrom(
-                             g, ws.xCache[li], *ghost_norm_sq, exec);
+                             g, ws.xCache[li], *ghost_norm_sq);
                      layer.backwardFrom(
                          g, ws.xCache[li], dx,
                          skip_param_grads ? nullptr : &sums->w[li],

@@ -136,9 +136,9 @@ class LinearLayer
                                std::vector<double> &out) const;
 
     /** Workspace ghost norms: reads the caller's @p x_cache. */
-    void accumulateGhostNormSqFrom(
-        const Tensor &d_y, const Tensor &x_cache, std::vector<double> &out,
-        ExecContext &exec = ExecContext::serial()) const;
+    void accumulateGhostNormSqFrom(const Tensor &d_y,
+                                   const Tensor &x_cache,
+                                   std::vector<double> &out) const;
 
     /**
      * Materialized per-example gradients (DP-SGD(B) path):
