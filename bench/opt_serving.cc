@@ -3,7 +3,7 @@
  * Serving-tier benchmark: throughput + tail latency vs. batching
  * policy, serve-only vs. serve-while-train, full vs. delta snapshots.
  *
- * Four measurement groups, one JSON:
+ * Six measurement groups, one JSON:
  *
  *  1. Batching-policy sweep (nobatch / balanced / throughput), each
  *     measured on a CLOSED loop (one-in-flight clients; demand-limited
@@ -27,23 +27,12 @@
  *     overloads; the headline numbers are SLO attainment and the
  *     Ok-request p99 -- bounded queues trade shed requests for a
  *     bounded tail.
- *  6a. Telemetry overhead: the balanced closed-loop serve-only leg
+ *  6. Telemetry overhead: the balanced closed-loop serve-only leg
  *     measured with the metrics registry off (the default) and on
- *     (what --stats-out / the governor's shared scrape pay),
- *     interleaved and best-of-N per mode (closed-loop throughput on a
- *     shared host is noisier than the effect). The headline delta_pct
- *     is the registry's hot-path cost; the budget is <= 2%.
- *
- *  6. Isolation: every scenario re-run OPEN-LOOP at the same 0.65x
- *     operating point while the trainer concurrently retrains, once
- *     per IsolationPolicy (none / pin / throttle / pin+throttle).
- *     Throttle legs attach the IsolationGovernor to
- *     TrainOptions::iterationGate with the throttled rate derived
- *     from the measured natural training rate (a fixed constant could
- *     land ABOVE the natural rate on a fast host and never pause).
- *     The headline: pin+throttle recovers attainment/p99 the trainer
- *     stole, at the cost of train_sec_per_iter while attainment is
- *     below the engage threshold.
+ *     (what --stats-out / --trace pay), interleaved and best-of-N per
+ *     mode (closed-loop throughput on a shared host is noisier than
+ *     the effect). The headline delta_pct is the registry's hot-path
+ *     cost; the budget is <= 2%.
  *
  * Emits BENCH_serving.json.
  */
@@ -63,7 +52,6 @@
 #include "core/factory.h"
 #include "data/data_loader.h"
 #include "obs/metrics.h"
-#include "serve/isolation_governor.h"
 #include "serve/load_generator.h"
 #include "serve/serve_engine.h"
 #include "serve/snapshot_store.h"
@@ -96,7 +84,6 @@ struct Measurement
     std::uint64_t versions = 0;
     std::uint64_t stolenBatches = 0;
     PublishTotals publish;
-    GovernorStats gov; //!< zeros unless the leg ran a governor
 };
 
 struct PolicyResult
@@ -130,21 +117,7 @@ struct ScenarioResult
 constexpr std::uint64_t kScenarioSloUs = 5000;
 constexpr std::size_t kScenarioQueueCap = 32;
 
-/** One scenario's isolation-policy legs (group 6). */
-struct IsolationLeg
-{
-    IsolationPolicy policy = IsolationPolicy::None;
-    Measurement m;
-};
-
-struct IsolationResult
-{
-    Scenario scenario = Scenario::Steady;
-    double baseQps = 0.0;
-    std::vector<IsolationLeg> legs;
-};
-
-/** Registry on-vs-off serving throughput (group 6a). */
+/** Registry on-vs-off serving throughput (group 6). */
 struct TelemetryOverhead
 {
     double qpsOff = 0.0; //!< metrics registry disabled (default)
@@ -267,96 +240,7 @@ measureScenario(const BenchSetup &setup, Scenario scenario, double qps,
 }
 
 /**
- * One group-6 leg: open loop through @p scenario at the group-5
- * operating point (same rate, SLO class and bounded drop-oldest
- * queues) while a LazyDP trainer concurrently retrains and
- * republishes, under isolation @p policy. Pin legs partition the
- * host's CPUs with defaultCoreSplit (a no-op below 2 CPUs); throttle
- * legs attach an IsolationGovernor to TrainOptions::iterationGate at
- * @p throttled_iters_per_sec. Training spans the load window
- * (trainIters at the measured natural rate outlasts requests/qps), so
- * every request is served under contention -- or under whatever the
- * policy recovered.
- */
-Measurement
-measureIsolation(const BenchSetup &setup, Scenario scenario, double qps,
-                 IsolationPolicy policy, double throttled_iters_per_sec)
-{
-    DlrmModel model(setup.model, setup.seed);
-    SnapshotOptions snap_opts;
-    ModelSnapshotStore store(snap_opts);
-    store.publish(model, 0);
-
-    ThreadPool pool(setup.trainThreads);
-    ExecContext exec(&pool);
-    if (policyPins(policy)) {
-        const CoreSplit split = defaultCoreSplit(setup.serveThreads);
-        applyCorePinning(pool, split.train, split.serve);
-    }
-
-    ServeOptions serve_opts;
-    serve_opts.threads = setup.serveThreads;
-    serve_opts.batch = BatchPolicy{8, 200};
-    serve_opts.batch.queueCap = kScenarioQueueCap;
-    serve_opts.batch.shedPolicy = ShedPolicy::DropOldest;
-    ServeEngine engine(store, setup.model, pool, serve_opts);
-
-    LoadOptions load_opts;
-    // 4x the group-5 request count: the longer window tracks the
-    // whole concurrent training run instead of sampling a fifth of
-    // it, which keeps the leg-to-leg attainment deltas above
-    // run-to-run noise.
-    load_opts.requests = setup.requests * 4;
-    load_opts.qps = qps;
-    load_opts.seed = setup.seed + 0x10AD;
-    load_opts.scenario = scenario;
-    load_opts.slo = SloClass{kScenarioSloUs, 1};
-    load_opts.lowSlo = SloClass{kScenarioSloUs, 0};
-    LoadGenerator generator(engine, setup.model, load_opts);
-
-    std::unique_ptr<IsolationGovernor> governor;
-    if (policyThrottles(policy)) {
-        GovernorOptions gov_opts;
-        gov_opts.throttledItersPerSec = throttled_iters_per_sec;
-        governor = std::make_unique<IsolationGovernor>(
-            [&engine] { return engine.stats(); }, gov_opts);
-    }
-
-    Measurement out;
-    std::thread load_thread(
-        [&generator, &out] { out.report = generator.run(); });
-
-    SyntheticDataset dataset(bench::datasetFor(
-        setup.model, AccessConfig::uniform(), setup.trainBatch,
-        setup.seed + 0xDA7A));
-    SequentialLoader loader(dataset);
-    TrainHyper hyper;
-    hyper.noiseSeed = setup.seed * 31 + 7;
-    auto algo = makeAlgorithm("lazydp", model, hyper);
-    Trainer trainer(*algo, loader, &exec);
-    TrainOptions options;
-    options.publishEveryIters = 5;
-    options.snapshotStore = &store;
-    options.recordLosses = false;
-    if (governor != nullptr)
-        options.iterationGate = governor->gate();
-    const TrainResult result = trainer.run(setup.trainIters, options);
-    out.trainSecPerIter = result.secondsPerIteration();
-
-    load_thread.join();
-    if (governor != nullptr) {
-        governor->stop();
-        out.gov = governor->stats();
-    }
-    engine.stop();
-    out.meanBatch = engine.stats().meanBatch();
-    out.stolenBatches = engine.stats().stolenBatches;
-    out.versions = store.version();
-    return out;
-}
-
-/**
- * Group 6a: what the metrics registry costs the serving hot path.
+ * Group 6: what the metrics registry costs the serving hot path.
  * The balanced closed-loop serve-only leg is the most counter-dense
  * path in the system (every request mirrors served / deadline /
  * latency, every batch the forward + batch-size histograms), measured
@@ -449,8 +333,6 @@ emitJson(const std::string &path, const BenchSetup &setup,
          const std::vector<FreshnessResult> &freshness,
          const std::vector<ScalePoint> &scaling,
          const std::vector<ScenarioResult> &scenarios,
-         const std::vector<IsolationResult> &isolation,
-         double throttled_iters_per_sec,
          const TelemetryOverhead &telemetry)
 {
     std::ofstream os(path);
@@ -542,37 +424,6 @@ emitJson(const std::string &path, const BenchSetup &setup,
            << " }" << (i + 1 < scenarios.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"isolation\": [\n";
-    for (std::size_t i = 0; i < isolation.size(); ++i) {
-        const auto &s = isolation[i];
-        os << "    { \"scenario\": \"" << scenarioName(s.scenario)
-           << "\", \"base_qps\": " << s.baseQps
-           << ", \"slo_us\": " << kScenarioSloUs
-           << ", \"queue_cap\": " << kScenarioQueueCap
-           << ", \"throttled_iters_per_sec\": "
-           << throttled_iters_per_sec << ",\n      \"legs\": [\n";
-        for (std::size_t j = 0; j < s.legs.size(); ++j) {
-            const auto &leg = s.legs[j];
-            const auto &r = leg.m.report;
-            os << "        { \"policy\": \""
-               << isolationPolicyName(leg.policy)
-               << "\", \"qps\": " << r.qps()
-               << ", \"p50_ms\": " << r.latency.p50 * 1e3
-               << ", \"p99_ms\": " << r.latency.p99 * 1e3
-               << ", \"attainment\": " << r.attainment()
-               << ", \"ok\": " << r.ok << ", \"shed\": " << r.shed
-               << ", \"expired\": " << r.expired
-               << ", \"train_sec_per_iter\": " << leg.m.trainSecPerIter
-               << ", \"gov_windows\": " << leg.m.gov.windows
-               << ", \"gov_engagements\": " << leg.m.gov.engagements
-               << ", \"gov_pause_ms\": "
-               << leg.m.gov.pausedSeconds * 1e3 << " }"
-               << (j + 1 < s.legs.size() ? "," : "") << "\n";
-        }
-        os << "      ] }" << (i + 1 < isolation.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ],\n";
     os << "  \"telemetry_overhead\": { \"qps_off\": "
        << telemetry.qpsOff << ", \"qps_on\": " << telemetry.qpsOn
        << ", \"delta_pct\": " << telemetry.deltaPct()
@@ -592,11 +443,6 @@ emitJson(const std::string &path, const BenchSetup &setup,
           "slo_us deadline on every request, shed_off = unbounded "
           "queues (deadline expiry only) vs shed_on = per-lane queues "
           "capped at queue_cap with drop-oldest priority shedding; "
-          "isolation: every scenario re-run at the same operating "
-          "point WHILE LazyDP retrains, one leg per policy (none / "
-          "pin = disjoint train/serve core sets / throttle = "
-          "attainment-feedback trainer pacing via the iteration gate "
-          "/ pin+throttle), gov_* = governor decision counters; "
           "telemetry_overhead: balanced closed loop with the metrics "
           "registry off vs on (interleaved, best of 4 reps each), "
           "delta_pct is the registry's serving hot-path cost against "
@@ -650,8 +496,7 @@ main(int argc, char **argv)
         "opt_serving",
         "throughput + tail latency vs. batching policy, closed + open "
         "loops, serve-while-train, full vs. delta snapshot publishing, "
-        "SLO attainment across traffic scenarios with shedding off/on "
-        "and train-vs-serve isolation policy legs");
+        "SLO attainment across traffic scenarios with shedding off/on");
 
     const std::vector<std::pair<std::string, BatchPolicy>> policies = {
         {"nobatch", {1, 0}},
@@ -705,37 +550,9 @@ main(int argc, char **argv)
         scenarios.push_back(std::move(s));
     }
 
-    // Isolation: the same scenarios at the same operating point, now
-    // with the trainer running concurrently, one leg per policy. The
-    // throttled pace derives from the MEASURED natural training rate
-    // (whileTrain leg of the balanced policy): a fixed constant could
-    // sit above the natural rate on a fast host and the bucket would
-    // never charge a pause.
-    const double natural_iters_per_sec =
-        results[1].whileTrain.trainSecPerIter > 0.0
-            ? 1.0 / results[1].whileTrain.trainSecPerIter
-            : 20.0;
-    const double throttled_rate =
-        std::max(1.0, natural_iters_per_sec / 4.0);
-    std::vector<IsolationResult> isolation;
-    for (const Scenario sc :
-         {Scenario::Steady, Scenario::Diurnal, Scenario::FlashCrowd,
-          Scenario::SkewDrift, Scenario::MixedClass}) {
-        IsolationResult ir;
-        ir.scenario = sc;
-        ir.baseQps = scenario_qps;
-        for (const IsolationPolicy p :
-             {IsolationPolicy::None, IsolationPolicy::Pin,
-              IsolationPolicy::Throttle, IsolationPolicy::PinThrottle})
-            ir.legs.push_back(
-                {p, measureIsolation(setup, sc, scenario_qps, p,
-                                     throttled_rate)});
-        isolation.push_back(std::move(ir));
-    }
-
     // Telemetry overhead: the registry's serving hot-path cost,
     // measured before the registry is enabled for good by any later
-    // tooling (group 6a; budget <= 2%).
+    // tooling (group 6; budget <= 2%).
     const TelemetryOverhead telemetry =
         measureTelemetryOverhead(setup, /*reps=*/4);
 
@@ -827,28 +644,6 @@ main(int argc, char **argv)
     }
     slo_table.print(std::cout);
 
-    TablePrinter iso_table(
-        "Isolation: policy legs, serve-while-train (base " +
-        TablePrinter::num(scenario_qps, 0) + " qps, slo 5 ms, throttle " +
-        TablePrinter::num(throttled_rate, 1) + " iters/s)");
-    iso_table.setHeader({"scenario", "policy", "attain %", "p99 ms",
-                         "ok", "expired", "train s/iter",
-                         "gov pause ms"});
-    for (const auto &s : isolation)
-        for (const auto &leg : s.legs)
-            iso_table.addRow(
-                {scenarioName(s.scenario),
-                 isolationPolicyName(leg.policy),
-                 TablePrinter::num(leg.m.report.attainment() * 100.0, 2),
-                 TablePrinter::num(leg.m.report.latency.p99 * 1e3, 3),
-                 TablePrinter::num(
-                     static_cast<double>(leg.m.report.ok), 0),
-                 TablePrinter::num(
-                     static_cast<double>(leg.m.report.expired), 0),
-                 TablePrinter::num(leg.m.trainSecPerIter, 4),
-                 TablePrinter::num(leg.m.gov.pausedSeconds * 1e3, 1)});
-    iso_table.print(std::cout);
-
     TablePrinter tel_table("Telemetry overhead: metrics registry off "
                            "vs on (balanced closed loop)");
     tel_table.setHeader({"metric", "value"});
@@ -874,6 +669,6 @@ main(int argc, char **argv)
     scale_table.print(std::cout);
 
     emitJson(out_path, setup, results, freshness, scaling, scenarios,
-             isolation, throttled_rate, telemetry);
+             telemetry);
     return 0;
 }

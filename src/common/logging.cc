@@ -44,7 +44,7 @@ levelVar()
 /**
  * Emit one record with a SINGLE stdio call: the full line (prefix +
  * message + newline) is assembled first, so concurrent records from
- * serve lanes, the governor and the sampler never interleave
+ * serve lanes, the trainer and the sampler never interleave
  * mid-line (stdio locks the stream per call).
  */
 void

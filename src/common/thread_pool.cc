@@ -146,9 +146,6 @@ ThreadPool::submitLane(std::size_t lane_id, std::function<void()> fn)
                 obs::traceSetThreadName(laneTraceName(lane_id));
                 laneLoop(*fresh);
             });
-            // Honor a reservation recorded before the lazy spawn.
-            if (lane_id < laneAffinity_.size())
-                pinThread(fresh->worker, laneAffinity_[lane_id]);
         }
         lane = lanes_[lane_id].get();
     }
@@ -158,35 +155,6 @@ ThreadPool::submitLane(std::size_t lane_id, std::function<void()> fn)
     }
     lane->wake.notify_one();
     return TaskHandle(std::move(state));
-}
-
-void
-ThreadPool::setWorkerAffinity(const CpuSet &set)
-{
-    for (auto &w : workers_)
-        pinThread(w, set);
-}
-
-void
-ThreadPool::setLaneAffinity(std::size_t lane_id, const CpuSet &set)
-{
-    LAZYDP_ASSERT(lane_id < kMaxLanes, "lane id out of range");
-    std::lock_guard<std::mutex> lock(lanesMu_);
-    if (laneAffinity_.size() <= lane_id)
-        laneAffinity_.resize(lane_id + 1);
-    laneAffinity_[lane_id] = set;
-    if (lane_id < lanes_.size() && lanes_[lane_id] != nullptr)
-        pinThread(lanes_[lane_id]->worker, set);
-}
-
-void
-ThreadPool::reserveLanes(std::size_t lo, std::size_t hi,
-                         const CpuSet &set)
-{
-    LAZYDP_ASSERT(lo <= hi && hi <= kMaxLanes,
-                  "lane range out of bounds");
-    for (std::size_t lane = lo; lane < hi; ++lane)
-        setLaneAffinity(lane, set);
 }
 
 void

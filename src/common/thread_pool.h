@@ -42,8 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cpu_set.h"
-
 namespace lazydp {
 
 /** @return the host's hardware thread count (>= 1). */
@@ -172,37 +170,6 @@ class ThreadPool
      */
     TaskHandle submitLane(std::size_t lane, std::function<void()> fn);
 
-    /**
-     * Restrict every loop-dispatch worker to the CPUs in @p set. The
-     * dispatching CALLER is not a pool thread and is not pinned --
-     * callers that participate in dispatch (Trainer's main thread)
-     * should pin themselves with pinCurrentThread(set) so the whole
-     * compute side lands on one core set. No-op on an empty set or
-     * where pinning is unsupported (see cpu_set.h).
-     */
-    void setWorkerAffinity(const CpuSet &set);
-
-    /**
-     * Restrict lane @p lane to the CPUs in @p set. Takes effect
-     * immediately if the lane thread is already running, and is
-     * remembered so a lane spawned lazily later starts pinned -- call
-     * order between setLaneAffinity and the first submitLane does not
-     * matter. An empty set clears any recorded reservation (future
-     * spawns inherit the OS default; an already-running lane keeps its
-     * current mask).
-     */
-    void setLaneAffinity(std::size_t lane, const CpuSet &set);
-
-    /**
-     * Reserve the lane range [@p lo, @p hi) onto @p set -- shorthand
-     * for setLaneAffinity on each lane. This is the isolation
-     * primitive: reserveLanes(kServeLaneBase, kMaxLanes, serve_cores)
-     * pins every current and future serve lane onto cores the
-     * parallelFor workers (pinned elsewhere via setWorkerAffinity)
-     * never touch.
-     */
-    void reserveLanes(std::size_t lo, std::size_t hi, const CpuSet &set);
-
   private:
     struct Lane;
 
@@ -225,7 +192,6 @@ class ThreadPool
     // are created lazily; the vector only grows, under lanesMu_.
     std::mutex lanesMu_;
     std::vector<std::unique_ptr<Lane>> lanes_;
-    std::vector<CpuSet> laneAffinity_; //!< per-lane reservation (lanesMu_)
 };
 
 /**

@@ -21,8 +21,8 @@
  *    lifetimes (asserted by tests/obs/metrics_test.cc under TSan).
  *
  *  - **Gauges** are process-global atomics (last set wins): they model
- *    low-frequency instantaneous readings (engaged flag, attainment),
- *    where per-thread last-write aggregation has no meaning.
+ *    low-frequency instantaneous readings, where per-thread
+ *    last-write aggregation has no meaning.
  *
  *  - **Scrape**: scrapeMetrics() walks every live shard plus the
  *    retired accumulator under the registry mutex and returns an

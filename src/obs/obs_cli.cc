@@ -40,14 +40,13 @@ ObsSession::ObsSession(const ObsOptions &options) : options_(options)
 {
     // Stats and traces read the registry, so either output implies it;
     // a bare --trace still gets counters worth scraping.
-    if (options_.enableMetrics || !options_.statsPath.empty() ||
-        !options_.tracePath.empty())
+    if (!options_.statsPath.empty() || !options_.tracePath.empty())
         setMetricsEnabled(true);
     if (!options_.tracePath.empty()) {
         traceStart();
         traceSetThreadName("main");
     }
-    if (!options_.statsPath.empty() || options_.forceSampler) {
+    if (!options_.statsPath.empty()) {
         SamplerOptions sopts;
         sopts.intervalUs = options_.statsIntervalUs == 0
                                ? 100000
@@ -67,9 +66,8 @@ ObsSession::finish()
     finished_ = true;
     if (sampler_ != nullptr) {
         sampler_->stop();
-        if (!options_.statsPath.empty())
-            inform("stats: ", sampler_->scrapes(), " scrapes -> ",
-                   options_.statsPath);
+        inform("stats: ", sampler_->scrapes(), " scrapes -> ",
+               options_.statsPath);
     }
     if (!options_.tracePath.empty()) {
         traceStop();

@@ -31,17 +31,8 @@ struct ObsOptions
     std::string tracePath; //!< --trace (empty = no trace)
     std::string statsPath; //!< --stats-out (empty = no JSONL)
 
-    /** Scrape cadence; 0 = pick a default (callers may override it
-     *  before building the session, e.g. to the governor window). */
+    /** Scrape cadence; 0 = pick a default. */
     std::uint64_t statsIntervalUs = 0;
-
-    /** Turn the metrics registry on even without --stats-out (the
-     *  serve driver does: the governor's shared scrape needs it). */
-    bool enableMetrics = false;
-
-    /** Run the sampler even without --stats-out (observer-only mode,
-     *  for controllers that ride the shared cadence). */
-    bool forceSampler = false;
 };
 
 /** Append the telemetry flag block to @p specs (builder style). */
@@ -56,7 +47,7 @@ ObsOptions obsOptionsFromCli(const CliArgs &args);
  * One run's telemetry lifecycle. Construction applies the options:
  * enables the registry, pins the trace epoch + starts collection when
  * a trace was requested, and spawns the StatsSampler when a stats
- * file (or forceSampler) asks for one. finish() -- idempotent, also
+ * file asks for one. finish() -- idempotent, also
  * run by the destructor -- stops the sampler (final scrape + flush)
  * and serializes the trace. Call it after every traced subsystem has
  * stopped so all spans are closed.

@@ -53,13 +53,6 @@ StatsSampler::StatsSampler(const SamplerOptions &options)
 StatsSampler::~StatsSampler() { stop(); }
 
 void
-StatsSampler::addObserver(Observer fn)
-{
-    std::lock_guard<std::mutex> lock(observersMu_);
-    observers_.push_back(std::move(fn));
-}
-
-void
 StatsSampler::samplerLoop()
 {
     traceSetThreadName("stats-sampler");
@@ -142,14 +135,6 @@ StatsSampler::sampleOnce()
         // to the same fd can never interleave mid-record.
         std::fwrite(line.data(), 1, line.size(), out_);
     }
-
-    std::vector<Observer> observers;
-    {
-        std::lock_guard<std::mutex> lock(observersMu_);
-        observers = observers_;
-    }
-    for (const Observer &fn : observers)
-        fn(snap);
 }
 
 void

@@ -3,18 +3,14 @@
  * StatsSampler: the shared telemetry scrape lane.
  *
  * One background thread scrapes the MetricsRegistry on a fixed
- * cadence, appends one JSON object per scrape to a JSONL time-series
- * file (--stats-out), and fans the snapshot out to registered
- * observers. The IsolationGovernor rides this path instead of running
- * a bespoke ServeStats sampling thread (IsolationGovernor::attachTo):
- * one cadence, one scrape, shared by the live time series and the
- * feedback controller.
+ * cadence and appends one JSON object per scrape to a JSONL
+ * time-series file (--stats-out).
  *
  * JSONL line schema (one line per scrape; all values cumulative):
  *
  *   {"scrape": N, "ts": seconds_since_sampler_start,
  *    "counters": {"serve.requests_served": 123, ...},
- *    "gauges": {"governor.engaged": 1, ...},
+ *    "gauges": {...},
  *    "histograms": {"serve.forward_ns":
  *        {"count": C, "sum": S, "p50": ..., "p95": ..., "p99": ...},
  *     ...}}
@@ -24,10 +20,9 @@
  * so concurrent tool output never interleaves mid-line.
  *
  * Threading: sampleOnce() may be driven by hand (tests pass
- * startThread = false, the same pattern GovernorOptions::startSampler
- * uses); stop() performs one final scrape so even a run shorter than
- * one interval yields a nonzero scrape count -- the CI stats smoke
- * gates on that.
+ * startThread = false); stop() performs one final scrape so even a
+ * run shorter than one interval yields a nonzero scrape count -- the
+ * CI stats smoke gates on that.
  */
 
 #ifndef LAZYDP_OBS_STATS_SAMPLER_H
@@ -37,11 +32,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -54,7 +47,7 @@ struct SamplerOptions
     /** Scrape cadence in microseconds. */
     std::uint64_t intervalUs = 100000;
 
-    /** JSONL output path; empty = no file (observers only). */
+    /** JSONL output path; empty = no file (scrapes are only counted). */
     std::string outPath;
 
     /** Spawn the scrape thread in the constructor (default). Tests
@@ -62,13 +55,10 @@ struct SamplerOptions
     bool startThread = true;
 };
 
-/** Periodic registry scraper: JSONL time series + observer fan-out. */
+/** Periodic registry scraper: JSONL time series. */
 class StatsSampler
 {
   public:
-    /** An observer sees every scrape, on the sampler thread. */
-    using Observer = std::function<void(const MetricsSnapshot &)>;
-
     explicit StatsSampler(const SamplerOptions &options);
 
     /** Stops and flushes (see stop()). */
@@ -77,12 +67,8 @@ class StatsSampler
     StatsSampler(const StatsSampler &) = delete;
     StatsSampler &operator=(const StatsSampler &) = delete;
 
-    /** Register @p fn for every subsequent scrape. */
-    void addObserver(Observer fn);
-
-    /** Scrape once: aggregate the registry, append one JSONL line,
-     *  notify observers. Public so tests (and attached controllers'
-     *  unit tests) can drive windows by hand. */
+    /** Scrape once: aggregate the registry, append one JSONL line.
+     *  Public so tests can drive scrapes by hand. */
     void sampleOnce();
 
     /** Stop the thread, take one final scrape, flush and close the
@@ -102,9 +88,6 @@ class StatsSampler
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> scrapes_{0};
     double startSeconds_ = 0.0;
-
-    std::mutex observersMu_;
-    std::vector<Observer> observers_;
 
     std::mutex wakeMu_;
     std::condition_variable wake_;

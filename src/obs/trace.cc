@@ -138,7 +138,6 @@ traceCatName(TraceCat cat)
     case TraceCat::Trainer: return "trainer";
     case TraceCat::Serve: return "serve";
     case TraceCat::Tier: return "tier";
-    case TraceCat::Governor: return "governor";
     case TraceCat::Sampler: return "sampler";
     case TraceCat::NumCats: break;
     }

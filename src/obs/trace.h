@@ -6,9 +6,8 @@
  * (created on first use, registered with a process-global leaky
  * recorder) and serializes them on demand as Chrome Trace Event
  * Format JSON -- load the file in https://ui.perfetto.dev or
- * chrome://tracing to see trainer stages, serve micro-batches,
- * tiered-store traffic and governor decisions on ONE aligned
- * timeline.
+ * chrome://tracing to see trainer stages, serve micro-batches and
+ * tiered-store traffic on ONE aligned timeline.
  *
  * Event model:
  *
@@ -20,7 +19,7 @@
  *    file (every span has ts + dur >= 0, stray "B"/"E" events must
  *    pair).
  *  - **Instants** ("i", thread scope) mark point decisions: request
- *    enqueue/shed/expiry, governor engage/release.
+ *    enqueue/shed/expiry.
  *  - **Metadata** ("M") names each thread (obs::traceSetThreadName;
  *    the ThreadPool names its lanes automatically).
  *
@@ -55,7 +54,6 @@ enum class TraceCat : std::uint8_t
     Trainer = 0, //!< prepare/apply/publish/gate on the training side
     Serve,       //!< request lifecycle: enqueue..batch..forward..complete
     Tier,        //!< tiered-store promotions/evictions/write-backs/warms
-    Governor,    //!< isolation-governor engage/release/pause decisions
     Sampler,     //!< stats-sampler scrapes
     NumCats
 };

@@ -189,7 +189,7 @@ struct LoadReport
      *   overload: everything shed, or the engine stopped first).
      *   attainment() reports 0 for such a window -- never NaN, which
      *   would silently defeat numeric gates (`NaN > x` is false for
-     *   every x) and poison the isolation governor's feedback signal.
+     *   every x).
      */
     bool noTraffic() const { return accepted() == 0; }
 

@@ -76,9 +76,7 @@ struct ServeStats
      * Of `served`, how many were scored within their SLO deadline
      * (taken just before their completions are delivered; requests
      * with no deadline always count). served - okDeadline is the
-     * "scored but too late to be useful" tail -- together with the
-     * expired count this is the sliding-window attainment signal the
-     * isolation governor samples (serve/isolation_governor.h).
+     * "scored but too late to be useful" tail.
      */
     std::uint64_t okDeadline = 0;
     std::uint64_t minVersion = 0; //!< oldest snapshot version served (0 = none)

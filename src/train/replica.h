@@ -53,8 +53,7 @@ constexpr std::size_t kReplicaLaneBase = 1;
 // Replica dispatch must stay strictly below the reserved lanes: the
 // out-of-core warm task owns kTierPrefetchLane (7) and serving claims
 // kServeLaneBase (8) upward. A replica landing there would serialize
-// behind cold-page warming or contend with scoring workers -- and under
-// CPU isolation it would silently run on the SERVE core set. The
+// behind cold-page warming or contend with scoring workers. The
 // static check ties the replica lane range to the lane map so a future
 // kLotShards bump cannot re-open the hole.
 static_assert(kReplicaLaneBase + kLotShards - 2 <

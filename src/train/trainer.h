@@ -119,12 +119,11 @@ struct TrainOptions
      * Optional between-iterations hook, called after iteration i fully
      * completes (apply done, overlapped prepare joined, snapshot
      * published) and before iteration i+1 starts -- never after the
-     * final iteration. The isolation governor
-     * (serve/isolation_governor.h) injects its token-bucket throttle
-     * pause here when serve-side SLO attainment drops. The hook runs
-     * with no training state in flight and can only delay WHEN the
-     * next iteration starts, so it never changes the trained model --
-     * the DP bit-identity matrix holds with any gate installed.
+     * final iteration. The benchmark marks iteration boundaries here.
+     * The hook runs with no training state in flight and can only
+     * delay WHEN the next iteration starts, so it never changes the
+     * trained model -- the DP bit-identity matrix holds with any gate
+     * installed (tests/integration/pipeline_test.cc).
      */
     std::function<void()> iterationGate;
 };

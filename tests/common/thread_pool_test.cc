@@ -463,56 +463,6 @@ TEST(SubmitLaneTest, DestructorDrainsEveryLane)
     EXPECT_EQ(ran.load(), 24);
 }
 
-TEST(LaneAffinityTest, ReservationBeforeLazySpawnStillRuns)
-{
-    // Reserving a lane that has not spawned yet must be remembered and
-    // applied at spawn -- and must never break task execution, even
-    // when the reserved CPU set is this host's only core.
-    ThreadPool pool(2);
-    CpuSet set;
-    set.add(0);
-    pool.setLaneAffinity(9, set);
-    std::atomic<int> ran{0};
-    pool.submitLane(9, [&ran] { ++ran; }).wait();
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(LaneAffinityTest, ReserveRangeCoversRunningAndFutureLanes)
-{
-    ThreadPool pool(1);
-    std::atomic<int> ran{0};
-    pool.submitLane(ThreadPool::kServeLaneBase, [&ran] { ++ran; })
-        .wait(); // lane 8 already running when the reservation lands
-    CpuSet set;
-    set.add(0);
-    pool.reserveLanes(ThreadPool::kServeLaneBase, ThreadPool::kMaxLanes,
-                      set);
-    std::vector<TaskHandle> handles;
-    for (std::size_t lane = ThreadPool::kServeLaneBase;
-         lane < ThreadPool::kServeLaneBase + 3; ++lane)
-        handles.push_back(pool.submitLane(lane, [&ran] { ++ran; }));
-    for (auto &h : handles)
-        h.wait();
-    EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(LaneAffinityTest, WorkerAffinityKeepsDispatchCorrect)
-{
-    ThreadPool pool(4);
-    CpuSet set;
-    set.add(0);
-    pool.setWorkerAffinity(set);
-    ExecContext exec(&pool);
-    std::vector<int> hits(1000, 0);
-    parallelFor(exec, hits.size(),
-                [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i)
-                        ++hits[i];
-                });
-    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
-              static_cast<long>(hits.size()));
-}
-
 TEST(SubmitLaneTest, NestedDispatchFromLaneFlattens)
 {
     ThreadPool pool(4);

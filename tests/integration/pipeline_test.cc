@@ -3,14 +3,18 @@
  * (prepare(i+1) + batch prefetch overlapped with apply(i)) must train
  * a BIT-identical model to the serial schedule for every engine, at
  * every pool width -- the PR-1 thread-sweep guarantee extended to the
- * overlapped schedule.
+ * overlapped schedule. A TrainOptions::iterationGate that stalls
+ * between iterations must not change the model under either schedule.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "core/factory.h"
@@ -49,10 +53,13 @@ struct RunOutcome
     std::vector<double> losses;
 };
 
-/** Train `algo` for 12 iterations on `threads` threads. */
+constexpr std::uint64_t kTrainIters = 12;
+
+/** Train `algo` for kTrainIters iterations on `threads` threads, with
+ *  `gate` (if any) installed as the iteration gate. */
 RunOutcome
 train(const std::string &algo, float weight_decay, std::size_t threads,
-      bool pipeline)
+      bool pipeline, std::function<void()> gate = {})
 {
     const auto mc = testModel();
     TrainHyper hyper;
@@ -72,8 +79,10 @@ train(const std::string &algo, float weight_decay, std::size_t threads,
     ExecContext exec(&pool);
     TrainOptions options;
     options.pipeline = pipeline;
-    out.losses =
-        Trainer(*algorithm, loader, &exec).run(12, options).losses;
+    options.iterationGate = std::move(gate);
+    out.losses = Trainer(*algorithm, loader, &exec)
+                     .run(kTrainIters, options)
+                     .losses;
     return out;
 }
 
@@ -166,6 +175,27 @@ TEST(PipelineScheduleTest, LoaderStillConsumesOneBatchPerIteration)
     // One fetch per iteration: the pipeline prefetches earlier, it
     // never fetches more.
     EXPECT_EQ(loader.produced(), 7u);
+}
+
+TEST(PipelineScheduleTest, IterationGateLeavesModelUnchanged)
+{
+    // The gate sleeps, so every iteration boundary really stalls; the
+    // trained bits and the losses must not notice.
+    for (const bool pipeline : {false, true}) {
+        const char *what = pipeline ? "pipeline on" : "pipeline off";
+        const RunOutcome plain = train("lazydp", 0.0f, 2, pipeline);
+        std::uint64_t calls = 0;
+        const RunOutcome gated =
+            train("lazydp", 0.0f, 2, pipeline, [&calls] {
+                ++calls;
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(500));
+            });
+        expectBitIdentical(*plain.model, *gated.model, what);
+        EXPECT_EQ(plain.losses, gated.losses) << what;
+        // Between iterations only: never after the final one.
+        EXPECT_EQ(calls, kTrainIters - 1) << what;
+    }
 }
 
 TEST(PipelineScheduleTest, SerialExecFallsBackAndMatches)

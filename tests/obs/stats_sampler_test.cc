@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for the StatsSampler: hand-driven scrapes (the pattern
- * controllers' unit tests use), JSONL line accounting, observer
- * fan-out, the threaded cadence, and the stop()-always-scrapes
- * guarantee the CI stats smoke gates on.
+ * Unit tests for the StatsSampler: hand-driven scrapes, JSONL line
+ * accounting and scraped values, the threaded cadence, and the
+ * stop()-always-scrapes guarantee the CI stats smoke gates on.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -47,6 +45,10 @@ TEST_F(StatsSamplerTest, ManualScrapesAppendOneLineEach)
     std::remove(path.c_str());
     const obs::MetricId id = obs::internMetric(
         "test.sampler.manual", obs::MetricKind::Counter);
+    // Counters are cumulative and process-global: read the base so a
+    // repeated run (--gtest_repeat) sees the same deltas.
+    const std::uint64_t base =
+        obs::scrapeMetrics().counter("test.sampler.manual");
     {
         obs::SamplerOptions opts;
         opts.outPath = path;
@@ -54,6 +56,7 @@ TEST_F(StatsSamplerTest, ManualScrapesAppendOneLineEach)
         obs::StatsSampler sampler(opts);
         obs::counterAdd(id, 5);
         sampler.sampleOnce();
+        obs::counterAdd(id, 3);
         sampler.sampleOnce();
         EXPECT_EQ(sampler.scrapes(), 2u);
         sampler.stop(); // final scrape + flush
@@ -63,7 +66,10 @@ TEST_F(StatsSamplerTest, ManualScrapesAppendOneLineEach)
 
     // Every line is one object carrying the scrape index and the
     // counter map (the validator tool parses it fully; here we check
-    // the shape the schema promises).
+    // the shape the schema promises) with the value the registry held
+    // at that scrape.
+    const std::uint64_t expected[] = {base + 5, base + 8, base + 8};
+    const std::string key = "\"test.sampler.manual\":";
     std::ifstream in(path);
     std::string line;
     std::size_t scrape = 0;
@@ -72,35 +78,16 @@ TEST_F(StatsSamplerTest, ManualScrapesAppendOneLineEach)
         EXPECT_EQ(line.back(), '}');
         EXPECT_NE(line.find("\"scrape\":"), std::string::npos);
         EXPECT_NE(line.find("\"counters\":"), std::string::npos);
-        EXPECT_NE(line.find("test.sampler.manual"), std::string::npos);
+        const std::size_t at = line.find(key);
+        ASSERT_NE(at, std::string::npos);
+        ASSERT_LT(scrape, 3u);
+        EXPECT_EQ(std::stoull(line.substr(at + key.size())),
+                  expected[scrape])
+            << "scrape " << scrape + 1;
         ++scrape;
     }
     EXPECT_EQ(scrape, 3u);
     std::remove(path.c_str());
-}
-
-TEST_F(StatsSamplerTest, ObserversSeeEveryScrape)
-{
-    const obs::MetricId id = obs::internMetric(
-        "test.sampler.observed", obs::MetricKind::Counter);
-    obs::counterAdd(id, 7);
-
-    obs::SamplerOptions opts; // no file: observer-only mode
-    opts.startThread = false;
-    obs::StatsSampler sampler(opts);
-    std::atomic<std::uint64_t> calls{0};
-    std::atomic<std::uint64_t> seen{0};
-    sampler.addObserver([&](const obs::MetricsSnapshot &snap) {
-        calls.fetch_add(1);
-        seen.store(snap.counter("test.sampler.observed"));
-    });
-    sampler.sampleOnce();
-    EXPECT_EQ(calls.load(), 1u);
-    EXPECT_EQ(seen.load(), 7u);
-    obs::counterAdd(id, 3);
-    sampler.sampleOnce();
-    EXPECT_EQ(calls.load(), 2u);
-    EXPECT_EQ(seen.load(), 10u);
 }
 
 TEST_F(StatsSamplerTest, ThreadedCadenceScrapesRepeatedly)

@@ -74,8 +74,8 @@ TEST_F(TraceTest, SpansAndInstantsAreCounted)
         LAZYDP_TRACE_SPAN2(obs::TraceCat::Serve, "batch", "batch", 8,
                            "version", 2);
     }
-    obs::traceInstant(obs::TraceCat::Governor, "engage",
-                      {"attainment_pm", 512});
+    obs::traceInstant(obs::TraceCat::Serve, "shed",
+                      {"queue_depth", 32});
     obs::traceStop();
     EXPECT_EQ(obs::traceEventCount(), 3u);
     // A span constructed after stop is disarmed: no event.

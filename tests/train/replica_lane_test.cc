@@ -2,9 +2,8 @@
  * @file Regression tests for the replica-lane reservation guard:
  * replica dispatch must never place a worker on the out-of-core warm
  * lane (ThreadPool::kTierPrefetchLane) or the serve lanes
- * (kServeLaneBase..) -- under CPU isolation those lanes are pinned to
- * the SERVE core set, so a colliding replica would both serialize
- * behind foreign work and run on the wrong cores.
+ * (kServeLaneBase..) -- a colliding replica would serialize behind
+ * cold-page warming or contend with the scoring workers.
  */
 
 #include <gtest/gtest.h>

@@ -23,7 +23,6 @@
  *                --queue-cap=16 --shed-policy=drop-oldest --slo-us=5000
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -31,14 +30,12 @@
 
 #include "common/cli.h"
 #include "obs/obs_cli.h"
-#include "common/cpu_set.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "core/factory.h"
 #include "data/data_loader.h"
-#include "serve/isolation_governor.h"
 #include "serve/load_generator.h"
 #include "serve/serve_engine.h"
 #include "serve/snapshot_store.h"
@@ -103,22 +100,6 @@ main(int argc, char **argv)
                       "(mixed scenario defaults to 0.5)"},
          {"low-slo-us", "low-priority class deadline in microseconds"},
          {"serve-skew", "QUERY skew: uniform|low|medium|high|zipf"},
-         {"isolation", "train-vs-serve policy: none|pin|throttle|"
-                       "pin+throttle (pin: disjoint core sets; "
-                       "throttle: attainment-driven trainer pacing)"},
-         {"serve-cores", "CPU list the serve lanes are pinned to "
-                         "(taskset syntax, e.g. 6-7); pin policies "
-                         "default to a split of the host's CPUs"},
-         {"train-cores", "CPU list the trainer is pinned to (loop "
-                         "workers, train lanes and the main thread)"},
-         {"gov-window-us", "governor: attainment sampling window in "
-                           "microseconds"},
-         {"gov-engage", "governor: engage the throttle when window "
-                        "attainment drops below this fraction"},
-         {"gov-release", "governor: release it once attainment "
-                         "recovers to this fraction"},
-         {"gov-iters-per-sec", "governor: trainer iteration pace while "
-                               "throttled"},
          {"csv", "print the result table as CSV"},
          {"help", "print this listing"}})));
     if (args.has("help")) {
@@ -185,37 +166,7 @@ main(int argc, char **argv)
     ThreadPool pool(threads);
     ExecContext exec(&pool);
 
-    // --- isolation policy --------------------------------------------
-    const IsolationPolicy isolation =
-        parseIsolationPolicy(args.getString("isolation", "none"));
-    const std::string serve_cores_arg =
-        args.getString("serve-cores", "");
-    const std::string train_cores_arg =
-        args.getString("train-cores", "");
-    if (!policyPins(isolation) &&
-        (!serve_cores_arg.empty() || !train_cores_arg.empty()))
-        fatal("--serve-cores/--train-cores only apply with "
-              "--isolation=pin or pin+throttle");
-
-    // --- telemetry ----------------------------------------------------
-    // The registry is always on in this driver: the serve/train mirrors
-    // are the governor's shared scrape feed and cost a relaxed add per
-    // completion. A throttling policy forces the sampler lane into
-    // existence (the governor attaches to it below) and clamps the
-    // cadence to the governor window so attainment windows stay fine-
-    // grained even when --stats-interval-us asks for a slower series.
-    obs::ObsOptions obs_opts = obs::obsOptionsFromCli(args);
-    obs_opts.enableMetrics = true;
-    if (policyThrottles(isolation)) {
-        obs_opts.forceSampler = true;
-        const std::uint64_t gov_window =
-            args.getU64("gov-window-us", 5000);
-        const std::uint64_t base = obs_opts.statsIntervalUs == 0
-                                       ? 100000
-                                       : obs_opts.statsIntervalUs;
-        obs_opts.statsIntervalUs = std::min(base, gov_window);
-    }
-    obs::ObsSession obs(obs_opts);
+    obs::ObsSession obs(obs::obsOptionsFromCli(args));
 
     // --- serving tier -------------------------------------------------
     const std::string snapshot_mode =
@@ -254,23 +205,6 @@ main(int argc, char **argv)
         fatal("--shed-policy must be reject or drop-oldest, got ",
               shed_policy);
 
-    // Pin BEFORE the serve lanes spawn (reservations would retro-pin
-    // running lanes anyway, but placing threads at birth is cleaner).
-    CpuSet train_cores, serve_cores;
-    if (policyPins(isolation)) {
-        if (!CpuSet::parse(serve_cores_arg, &serve_cores))
-            fatal("--serve-cores: cannot parse '", serve_cores_arg,
-                  "' (want a taskset-style list, e.g. 0-3,6)");
-        if (!CpuSet::parse(train_cores_arg, &train_cores))
-            fatal("--train-cores: cannot parse '", train_cores_arg,
-                  "' (want a taskset-style list, e.g. 0-3,6)");
-        if (serve_cores.empty() && train_cores.empty()) {
-            const CoreSplit split = defaultCoreSplit(serve_opts.threads);
-            train_cores = split.train;
-            serve_cores = split.serve;
-        }
-        applyCorePinning(pool, train_cores, serve_cores);
-    }
     ServeEngine engine(store, model_cfg, pool, serve_opts);
 
     LoadOptions load_opts;
@@ -302,28 +236,6 @@ main(int argc, char **argv)
     load_opts.collectScores = !dump_scores.empty();
     LoadGenerator generator(engine, model_cfg, load_opts);
 
-    // Attainment-driven trainer throttle: rides the shared StatsSampler
-    // scrape lane (one cadence for the JSONL series AND the feedback
-    // windows) instead of a private sampling thread, and paces the
-    // trainer through TrainOptions::iterationGate while engaged.
-    std::unique_ptr<IsolationGovernor> governor;
-    if (policyThrottles(isolation)) {
-        GovernorOptions gov;
-        gov.windowUs = args.getU64("gov-window-us", 5000);
-        gov.engageBelow = args.getDouble("gov-engage", 0.90);
-        gov.releaseAbove = args.getDouble("gov-release", 0.97);
-        gov.throttledItersPerSec =
-            args.getDouble("gov-iters-per-sec", 200.0);
-        gov.startSampler = false; // the shared sampler drives it
-        if (gov.engageBelow > gov.releaseAbove)
-            fatal("--gov-engage (", gov.engageBelow,
-                  ") must not exceed --gov-release (",
-                  gov.releaseAbove, ")");
-        governor = std::make_unique<IsolationGovernor>(
-            [&engine] { return engine.stats(); }, gov);
-        governor->attachTo(*obs.sampler());
-    }
-
     inform("serving ", model_cfg.name, " (",
            humanBytes(model.tableBytes()), " tables) with ",
            serve_opts.threads, " serve lanes, max-batch ",
@@ -337,13 +249,7 @@ main(int argc, char **argv)
            " for ", train_iters, " iters (publish every ",
            publish_every, ", ", snapshot_mode, " snapshots",
            snap_opts.sealPages ? ", sealed" : "", "), kernels ",
-           kernels_name, ", isolation ",
-           isolationPolicyName(isolation));
-    if (policyPins(isolation))
-        inform("pinning: train cores [", train_cores.toString(),
-               "], serve cores [", serve_cores.toString(), "]",
-               cpuPinningSupported() ? "" :
-               " (unsupported on this platform: no-op)");
+           kernels_name);
 
     // --- concurrent load + training ----------------------------------
     LoadReport report;
@@ -360,17 +266,12 @@ main(int argc, char **argv)
         options.publishEveryIters = publish_every;
         options.snapshotStore = &store;
         options.recordIterSeconds = true;
-        if (governor != nullptr)
-            options.iterationGate = governor->gate();
         train_result = trainer.run(train_iters, options);
     }
     load_thread.join();
-    if (governor != nullptr)
-        governor->stop();
     engine.stop();
-    // Telemetry teardown BEFORE the governor leaves scope: the sampler
-    // thread fans scrapes into the attached governor, so it must join
-    // first (finish() also flushes the trace and the stats file).
+    // Every traced subsystem has stopped: close the trace and take the
+    // sampler's final scrape before the report reads its count.
     obs.finish();
 
     // --- sanity (the CI smoke leans on these) -------------------------
@@ -463,27 +364,6 @@ main(int argc, char **argv)
     table.addRow({"batches stolen",
                   TablePrinter::num(
                       static_cast<double>(sstats.stolenBatches), 0)});
-    table.addRow({"isolation", isolationPolicyName(isolation)});
-    if (governor != nullptr) {
-        const GovernorStats gstats = governor->stats();
-        table.addRow({"gov windows",
-                      TablePrinter::num(
-                          static_cast<double>(gstats.windows), 0) +
-                          " (" +
-                          TablePrinter::num(
-                              static_cast<double>(
-                                  gstats.noTrafficWindows), 0) +
-                          " no-traffic)"});
-        table.addRow({"gov engagements",
-                      TablePrinter::num(
-                          static_cast<double>(gstats.engagements), 0)});
-        table.addRow({"gov pause ms",
-                      TablePrinter::num(gstats.pausedSeconds * 1e3,
-                                        3)});
-        table.addRow({"gov window attainment %",
-                      TablePrinter::num(gstats.lastAttainment * 100.0,
-                                        2)});
-    }
     if (obs.sampler() != nullptr)
         table.addRow({"stats scrapes",
                       TablePrinter::num(

@@ -10,7 +10,7 @@
  *    ts and a non-negative dur, any stray "B"/"E" duration events pair
  *    per (tid, name), and — with --require-cats — that every listed
  *    category appears at least once (comma-separated, e.g.
- *    "trainer,serve,tier,governor"). Exit 0 on pass, 1 with a
+ *    "trainer,serve,tier"). Exit 0 on pass, 1 with a
  *    diagnostic on the first failure.
  *
  *  - --jsonl: validate a StatsSampler time series (--stats-out).
