@@ -87,7 +87,6 @@ runMeasured(const RunSpec &spec)
     SequentialLoader loader(dataset);
     TrainOptions options;
     options.pipeline = spec.pipeline;
-    options.replicas = spec.replicas;
     options.recordLosses = false;
     options.startIter = start_iter;
     options.warmupIters = spec.warmup;

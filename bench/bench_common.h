@@ -62,12 +62,6 @@ struct RunSpec
     bool pipeline = false;
 
     /**
-     * Lot-sharded data-parallel worker replicas (1, 2 or 4). Changes
-     * wall time only, never the trained model.
-     */
-    std::size_t replicas = 1;
-
-    /**
      * Out-of-core mode: nonempty = back the embedding tables with the
      * tiered DRAM-hot / file-cold store, cold files under this
      * directory. Bit-identical model; only residency traffic and wall

@@ -31,7 +31,7 @@ namespace {
 
 RunSpec
 specFor(const char *algo, std::size_t batch, std::uint64_t table_bytes,
-        std::size_t threads, bool pipeline, std::size_t replicas = 1)
+        std::size_t threads, bool pipeline)
 {
     RunSpec spec;
     spec.algo = algo;
@@ -41,37 +41,7 @@ specFor(const char *algo, std::size_t batch, std::uint64_t table_bytes,
     spec.warmup = 1;
     spec.threads = threads;
     spec.pipeline = pipeline;
-    spec.replicas = replicas;
     return spec;
-}
-
-void
-runReplicaSweep(const std::vector<std::size_t> &counts,
-                std::uint64_t table_bytes, std::size_t threads,
-                bool pipeline)
-{
-    TablePrinter table(
-        "Figure 10 replica sweep: lot-sharded data-parallel workers "
-        "(batch 2048, " + std::to_string(threads) + " threads, pipeline " +
-        (pipeline ? "on" : "off") + "; bit-identical model at every "
-        "count)");
-    table.setHeader({"algo", "replicas", "sec/iter (wall)",
-                     "busy s/iter", "speedup vs 1st"});
-    for (const char *algo : {"lazydp", "dpsgd-f"}) {
-        double base = 0.0;
-        for (const std::size_t r : counts) {
-            const RunStats stats = runMeasured(specFor(
-                algo, 2048, table_bytes, threads, pipeline, r));
-            const double sec = stats.secondsPerIter();
-            if (base == 0.0)
-                base = sec;
-            table.addRow({algo, std::to_string(r),
-                          TablePrinter::num(sec, 4),
-                          TablePrinter::num(stats.busySecondsPerIter(), 4),
-                          TablePrinter::num(base / sec, 2) + "x"});
-        }
-    }
-    table.print(std::cout);
 }
 
 void
@@ -104,32 +74,18 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv,
-                       {"threads", "thread-sweep", "replica-sweep",
-                        "table-mb", "pipeline", "kernels", "help"});
+                       {"threads", "thread-sweep", "table-mb",
+                        "pipeline", "kernels", "help"});
     if (args.has("help")) {
         std::printf("fig10_end_to_end [--threads=N] [--pipeline[=on]] "
-                    "[--thread-sweep=1,2,4,8] [--replica-sweep=1,2,4] "
-                    "[--table-mb=N] [--kernels=scalar|avx2|auto]\n");
+                    "[--thread-sweep=1,2,4,8] [--table-mb=N] "
+                    "[--kernels=scalar|avx2|auto]\n");
         return 0;
     }
     args.applyKernels();
     const std::size_t threads = args.getThreads(1);
     const bool pipeline = args.getBool("pipeline", false);
     const std::uint64_t table_bytes = args.getU64("table-mb", 960) << 20;
-
-    if (args.has("replica-sweep")) {
-        std::vector<std::size_t> counts;
-        for (const auto &tok :
-             split(args.getString("replica-sweep", ""), ','))
-            counts.push_back(parseU64(tok));
-        if (counts.empty()) // bare --replica-sweep: all valid counts
-            counts = {1, 2, 4};
-        printPreamble("Figure 10",
-                      "replica sweep: lot-sharded data-parallel "
-                      "LazyDP / DP-SGD(F)");
-        runReplicaSweep(counts, table_bytes, threads, pipeline);
-        return 0;
-    }
 
     printPreamble("Figure 10",
                   "end-to-end time: SGD / LazyDP / LazyDP(w/o ANS) / "

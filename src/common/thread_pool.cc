@@ -29,9 +29,6 @@ laneTraceName(std::size_t lane)
 {
     switch (lane) {
       case ThreadPool::kPipelineLane: return "lane-pipeline";
-      case 1: return "lane-replica-1";
-      case 2: return "lane-replica-2";
-      case 3: return "lane-replica-3";
       case ThreadPool::kTierPrefetchLane: return "lane-tier-warm";
       case ThreadPool::kServeLaneBase + 0: return "serve-0";
       case ThreadPool::kServeLaneBase + 1: return "serve-1";
@@ -299,8 +296,9 @@ ExecContext::serial()
 }
 
 void
-parallelFor(ExecContext &exec, std::size_t n,
-            const std::function<void(std::size_t, std::size_t)> &body)
+parallelForDispatch(
+    ExecContext &exec, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)> &body)
 {
     if (n == 0)
         return;

@@ -138,16 +138,13 @@ class ThreadPool
     // threads, so subsystems that must overlap get distinct lanes:
     //  - kPipelineLane: the Trainer's software pipeline (next-iteration
     //    prepare + batch prefetch overlapping dense compute).
-    //  - kReplicaLaneBase..+N-2: data-parallel worker replicas
-    //    (train/replica.h runs replica r on lane kReplicaLaneBase+r-1).
     //  - kTierPrefetchLane: the out-of-core warm task (tiered_store.h)
     //    read-touching next-iteration cold pages into the page cache.
     //  - kServeLaneBase..: online-serving scoring workers
     //    (serve/serve_engine.h claims lanes upward from here).
     static constexpr std::size_t kPipelineLane = 0;
-    static constexpr std::size_t kReplicaLaneBase = 1;
-    static constexpr std::size_t kTierPrefetchLane = 7;
-    static constexpr std::size_t kServeLaneBase = 8;
+    static constexpr std::size_t kTierPrefetchLane = 1;
+    static constexpr std::size_t kServeLaneBase = 2;
 
     /**
      * Enqueue @p fn on asynchronous lane @p lane (< kMaxLanes) and
@@ -156,8 +153,7 @@ class ThreadPool
      * lanes work even on a width-1 pool): tasks on the same lane
      * execute in submission order, one at a time; distinct lanes run
      * concurrently with each other and with the caller. Lane 0 carries
-     * the Trainer's pipelined prepare stage; the data-parallel replica
-     * dispatch (train/replica.h) runs worker replicas on lanes 1..N-1.
+     * the Trainer's pipelined prepare stage.
      *
      * Tasks run with nested-dispatch flattening active: any
      * parallelFor / ThreadPool::run issued from inside a submitted task
@@ -206,15 +202,6 @@ struct ExecContext
 
     ThreadPool *pool = nullptr; //!< not owned; nullptr = serial
 
-    /**
-     * Data-parallel worker replicas the lot-sharded engines fan their
-     * per-microbatch gradient production across (train/replica.h). Must
-     * be a divisor of kLotShards (1, 2 or 4); 1 = no replication. The
-     * trained model never depends on this value -- replicas only choose
-     * WHERE each fixed microbatch shard executes.
-     */
-    std::size_t replicas = 1;
-
     /** @return execution width this context dispatches onto. */
     std::size_t
     threads() const
@@ -229,6 +216,11 @@ struct ExecContext
 /** Chunks per thread of a parallelFor (see parallelFor). */
 constexpr std::size_t kParallelForChunksPerThread = 4;
 
+/** Out-of-line dispatch behind parallelFor. */
+void parallelForDispatch(
+    ExecContext &exec, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)> &body);
+
 /**
  * Run body(lo, hi) over a partition of [0, n) into
  * min(n, kParallelForChunksPerThread * threads) balanced contiguous
@@ -237,9 +229,16 @@ constexpr std::size_t kParallelForChunksPerThread = 4;
  * body(0, n) call. Chunk boundaries depend on the thread count, so use
  * this only when each index's outputs are independent of the partition
  * (disjoint writes; any per-index arithmetic stays within the index).
+ *
+ * The body travels by reference, which fits std::function's local
+ * buffer: a call never allocates, whatever the closure captures.
  */
-void parallelFor(ExecContext &exec, std::size_t n,
-                 const std::function<void(std::size_t, std::size_t)> &body);
+template <typename Body>
+void
+parallelFor(ExecContext &exec, std::size_t n, Body &&body)
+{
+    parallelForDispatch(exec, n, std::ref(body));
+}
 
 /** @return number of fixed shards for @p n items at @p grain. */
 inline std::size_t

@@ -84,6 +84,8 @@ StageTimer::StageTimer() : running_(Stage::Else), active_(false)
     acc_.fill(0.0);
 }
 
+StageTimer::StageTimer(Local) : StageTimer() { mirror_ = false; }
+
 void
 StageTimer::reset()
 {
@@ -107,14 +109,16 @@ StageTimer::stop()
     const double seconds = clock_.seconds();
     acc_[static_cast<std::size_t>(running_)] += seconds;
     active_ = false;
-    mirrorStage(running_, seconds);
+    if (mirror_)
+        mirrorStage(running_, seconds);
 }
 
 void
 StageTimer::add(Stage s, double seconds)
 {
     acc_[static_cast<std::size_t>(s)] += seconds;
-    mirrorStage(s, seconds);
+    if (mirror_)
+        mirrorStage(s, seconds);
 }
 
 double
@@ -142,12 +146,17 @@ StageTimer::breakdown() const
 }
 
 void
-StageTimer::merge(const StageTimer &other)
+StageTimer::merge(const StageTimer &other, double scale)
 {
-    // Slot-wise only: the other timer already mirrored its times into
-    // the shared registry counters when it accumulated them.
-    for (std::size_t i = 0; i < acc_.size(); ++i)
-        acc_[i] += other.acc_[i];
+    // A stage's time reaches the registry exactly once: when it first
+    // lands in a mirroring timer.
+    const bool mirror = mirror_ && !other.mirror_;
+    for (std::size_t i = 0; i < acc_.size(); ++i) {
+        const double seconds = other.acc_[i] * scale;
+        acc_[i] += seconds;
+        if (mirror)
+            mirrorStage(static_cast<Stage>(i), seconds);
+    }
 }
 
 } // namespace lazydp

@@ -87,7 +87,14 @@ const char *stageSlug(Stage s);
 class StageTimer
 {
   public:
+    /** Tag for a part timer that keeps its times out of the registry
+     *  until merged into a mirroring timer (see merge). */
+    struct Local
+    {
+    };
+
     StageTimer();
+    explicit StageTimer(Local);
 
     /** Zero all accumulated stage times. */
     void reset();
@@ -110,8 +117,12 @@ class StageTimer
     /** @return map of stage-name -> seconds for reporting. */
     std::map<std::string, double> breakdown() const;
 
-    /** Accumulate another timer's totals into this one. */
-    void merge(const StageTimer &other);
+    /**
+     * Accumulate another timer's totals, each scaled by @p scale, into
+     * this one. A Local @p other's times reach the registry here, when
+     * this timer mirrors; any other timer mirrored its own already.
+     */
+    void merge(const StageTimer &other, double scale = 1.0);
 
   private:
     /** Interned-id slots: index == stage id == registry-counter slot. */
@@ -119,6 +130,7 @@ class StageTimer
     WallTimer clock_;
     Stage running_;
     bool active_;
+    bool mirror_ = true; //!< feed the registry counters (not Local)
 };
 
 /** RAII guard that times a region into a StageTimer. */

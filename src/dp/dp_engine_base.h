@@ -18,12 +18,12 @@
  * apply() splits the lot into kLotShards position-stable microbatch
  * shards; each shard runs forward + loss + per-example clipping +
  * backward into its OWN workspace and gradient buffers (engine-specific
- * via produceShardGrads), optionally fanned across worker replicas.
+ * via produceShardGrads), fanned across the pool's workers.
  * The fixed-tree reduction then merges the per-shard MLP gradient sums
  * into the layers and gathers the per-example pooled embedding
  * gradients into lot-wide buffers, after which the engine's single
  * keyed-noise add and model update run exactly once on the aggregate.
- * The decomposition never depends on the replica or thread count, so
+ * The decomposition never depends on the thread count, so
  * the trained model is bit-identical at any parallelism setting.
  */
 
@@ -64,7 +64,7 @@ class DpEngineBase : public Algorithm
     /**
      * Gradient-production state of ONE microbatch shard of the current
      * lot: the shared LotShardState plus the DP engines' per-example
-     * clipping scratch. Everything a shard touches while replicas run
+     * clipping scratch. Everything a shard touches while shards run
      * concurrently lives here (or in lot-wide buffers at disjoint row
      * ranges), so shard execution is race-free by construction.
      */

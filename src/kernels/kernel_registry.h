@@ -27,7 +27,7 @@
  *    use fixed-width blocked accumulation (kReduceBlock elements per
  *    partial), and block boundaries depend on the problem size only —
  *    never on the ISA vector width, the thread count, or alignment.
- *    The threads/pipeline/replicas bit-identity matrices therefore
+ *    The threads/pipeline bit-identity matrices therefore
  *    hold under either backend.
  *  - Across kernel choices, element-wise kernels without FMA
  *    opportunities (fill/add/scale/relu/pool) are bit-identical;

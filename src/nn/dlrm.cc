@@ -176,12 +176,12 @@ DlrmModel::forward(const MiniBatch &mb, Tensor &logits, DlrmWorkspace &ws,
         ws.interOut.cols() != interaction_.outputDim()) {
         ws.interOut.resize(batch, interaction_.outputDim());
     }
-    std::vector<const Tensor *> inputs;
-    inputs.reserve(config_.numTables + 1);
-    inputs.push_back(&ws.bottomOut);
+    ws.interInputs.clear();
+    ws.interInputs.push_back(&ws.bottomOut);
     for (auto &e : ws.embOut)
-        inputs.push_back(&e);
-    interaction_.forwardInto(inputs, ws.interOut, ws.interCache, exec);
+        ws.interInputs.push_back(&e);
+    interaction_.forwardInto(ws.interInputs, ws.interOut, ws.interCache,
+                             exec);
 
     top_.forward(ws.interOut, logits, ws.top, exec);
 }

@@ -34,7 +34,7 @@ namespace lazydp {
  * Forward/backward activation state of one DLRM pass, hoisted out of
  * the model so several lot shards can run partial-batch passes
  * CONCURRENTLY against the same (read-only) weights -- the
- * data-parallel replica path. The model keeps one private workspace
+ * lot-shard path. The model keeps one private workspace
  * serving the classic workspace-less entry points.
  */
 struct DlrmWorkspace
@@ -45,6 +45,7 @@ struct DlrmWorkspace
     std::vector<Tensor> embOut;  //!< per table (batch x embedDim)
     Tensor interOut;             //!< (batch x interactionDim)
     Tensor interCache;           //!< interaction input cache
+    std::vector<const Tensor *> interInputs; //!< bottomOut, then embOut
     Tensor dInterOut;            //!< (batch x interactionDim)
     Tensor dBottomOut;           //!< (batch x embedDim)
     std::vector<Tensor> dEmbOut; //!< per table (batch x embedDim)

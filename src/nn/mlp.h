@@ -39,7 +39,7 @@ struct PerExampleGrads
  * Mlp. The model formerly cached this inside the layers; hoisting it
  * into a caller-owned workspace lets several lot shards run
  * forward/backward CONCURRENTLY against the same (read-only) weights --
- * the data-parallel replica path. The Mlp keeps one private workspace
+ * the lot-shard path. The Mlp keeps one private workspace
  * for the classic single-caller entry points.
  */
 struct MlpWorkspace

@@ -55,13 +55,13 @@ ServeEngine::ServeEngine(const ModelSnapshotStore &store,
       batcher_(options.batch, options.threads)
 {
     LAZYDP_ASSERT(options_.threads >= 1, "need at least one serve lane");
-    LAZYDP_ASSERT(options_.firstLane + options_.threads <=
+    LAZYDP_ASSERT(ThreadPool::kServeLaneBase + options_.threads <=
                       ThreadPool::kMaxLanes,
                   "serve lanes exceed ThreadPool::kMaxLanes");
     workers_.reserve(options_.threads);
     for (std::size_t w = 0; w < options_.threads; ++w) {
         workers_.push_back(pool.submitLane(
-            options_.firstLane + w, [this, w] { workerLoop(w); }));
+            ThreadPool::kServeLaneBase + w, [this, w] { workerLoop(w); }));
     }
 }
 
@@ -216,7 +216,6 @@ ServeEngine::workerLoop(std::size_t lane)
         {
             std::lock_guard<std::mutex> lock(statsMu_);
             stats_.served += n;
-            stats_.okDeadline += in_deadline;
             stats_.batches += 1;
             if (stats_.minVersion == 0 ||
                 snap->version < stats_.minVersion)

@@ -20,9 +20,9 @@
  *
  * Threading: each worker is a dedicated ThreadPool lane
  * (ThreadPool::submitLane), the same primitive the Trainer uses for
- * its pipeline (lane 0) and replica workers (lanes 1..3). Serve lanes
- * default to lane 8 upward so train-and-serve shares one pool without
- * lane collisions; nested-dispatch flattening makes the forward run
+ * its pipeline. Serve lanes start at ThreadPool::kServeLaneBase, above
+ * the trainer's lanes, so train-and-serve shares one pool without lane
+ * collisions; nested-dispatch flattening makes the forward run
  * serially within the lane, which is the right schedule for
  * latency-bound micro-batches.
  */
@@ -55,15 +55,6 @@ struct ServeOptions
      * one queue per serve lane (hash-routed push, work-stealing pop).
      */
     BatchPolicy batch;
-
-    /**
-     * First ThreadPool lane used for serving; lanes
-     * [firstLane, firstLane + threads) must not collide with the
-     * trainer's lanes (kPipelineLane, the replica lanes, and the
-     * out-of-core warm lane kTierPrefetchLane). The shared lane map
-     * lives in common/thread_pool.h.
-     */
-    std::size_t firstLane = ThreadPool::kServeLaneBase;
 };
 
 /** Cumulative serving counters (one engine lifetime). */
@@ -71,14 +62,6 @@ struct ServeStats
 {
     std::uint64_t served = 0;     //!< requests completed by serve lanes
     std::uint64_t batches = 0;    //!< micro-batches executed
-
-    /**
-     * Of `served`, how many were scored within their SLO deadline
-     * (taken just before their completions are delivered; requests
-     * with no deadline always count). served - okDeadline is the
-     * "scored but too late to be useful" tail.
-     */
-    std::uint64_t okDeadline = 0;
     std::uint64_t minVersion = 0; //!< oldest snapshot version served (0 = none)
     std::uint64_t maxVersion = 0; //!< newest snapshot version served
 

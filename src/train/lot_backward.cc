@@ -37,8 +37,9 @@ shardedLotBackward(
     }
     timer.stop();
 
-    // Fan the shards across the worker replicas. Each shard writes only
-    // its own state plus disjoint row ranges of lot_emb_grad.
+    // Fan the shards across the pool. Each shard writes only its own
+    // state plus disjoint row ranges of lot_emb_grad.
+    const WallTimer phase;
     runReplicated(exec, [&](std::size_t s, ExecContext &rexec) {
         LotShardState &sh = *shards[s];
         if (sh.lo == sh.hi) {
@@ -58,14 +59,20 @@ shardedLotBackward(
         }
     });
 
-    // Deterministic post-join bookkeeping: shard timers merge in shard
-    // order (their overlapped wall time counts into busySeconds).
-    for (LotShardState *sh : shards)
-        timer.merge(sh->timer);
+    // Shards that ran concurrently accrued busy time, more than the
+    // phase's wall time: scale their stages down so the lot timer's
+    // stages still partition apply's wall time.
+    const double wall = phase.seconds();
+    double busy = 0.0;
+    for (const LotShardState *sh : shards)
+        busy += sh->timer.totalSeconds();
+    const double scale = busy > wall ? wall / busy : 1.0;
+    for (const LotShardState *sh : shards)
+        timer.merge(sh->timer, scale);
 
     // Fixed-tree reduction of the per-shard MLP gradient sums into the
     // layers' own gradient tensors: out = (q0 + q1) + (q2 + q3),
-    // identical for every replica/thread count.
+    // identical for every thread count.
     timer.start(Stage::BackwardPerBatch);
     auto reduce_mlp = [&](Mlp &mlp, auto member) {
         auto &layers = mlp.layers();

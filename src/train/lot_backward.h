@@ -3,9 +3,9 @@
  * The shared lot-sharded backward orchestration used by every engine
  * (the DP engines through DpEngineBase, non-private SGD directly).
  *
- * One function owns the whole replica dataflow -- slice the lot into
+ * One function owns the whole lot-shard dataflow -- slice the lot into
  * the fixed microbatch shards, fan an engine-supplied produce callback
- * across the worker replicas, merge shard timers in shard order,
+ * across the pool's workers, merge shard timers in shard order,
  * tree-reduce the per-shard MLP gradient sums into the model's layers,
  * gather pooled embedding gradients into lot-wide buffers -- so a fix
  * to the dataflow (or a change to the reduction shape) lands in
@@ -41,7 +41,7 @@ struct LotShardState
     DlrmWorkspace ws;     //!< activation/backward caches
     DlrmGradSums sums;    //!< per-layer MLP gradient sums
     double lossSum = 0.0; //!< per-example loss sum of the shard
-    StageTimer timer;     //!< merged into the lot timer post-join
+    StageTimer timer{StageTimer::Local{}}; //!< merged post-join
 };
 
 /**
@@ -49,13 +49,15 @@ struct LotShardState
  *
  *  1. slice the lot into the kLotShards position-stable shards and
  *     size @p lot_emb_grad (one (lot x dim) tensor per table);
- *  2. fan @p produce across the replicas of @p exec (train/replica.h);
+ *  2. fan @p produce across the workers of @p exec (train/replica.h);
  *     empty shards contribute exact-zero sums so the fixed tree stays
  *     intact; non-empty shards' pooled gradients (ws.dEmbOut) gather
  *     into @p lot_emb_grad at disjoint row ranges after produce;
- *  3. merge shard timers into @p timer in shard order;
+ *  3. merge shard timers into @p timer in shard order, scaled so that
+ *     concurrent shards' busy time adds up to the shard phase's wall
+ *     time;
  *  4. tree-reduce the shard MLP sums into the model's own layer
- *     gradient tensors: (q0 + q1) + (q2 + q3), replica-invariant.
+ *     gradient tensors: (q0 + q1) + (q2 + q3), width-invariant.
  *
  * @param produce engine-specific shard gradient production, called
  *        exactly once per non-empty shard (by index, possibly

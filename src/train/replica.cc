@@ -1,73 +1,21 @@
 #include "train/replica.h"
 
-#include <vector>
-
 #include "common/macros.h"
 
 namespace lazydp {
-
-std::size_t
-replicaLane(std::size_t r)
-{
-    LAZYDP_ASSERT(r >= 1, "replica 0 runs on the calling thread");
-    const std::size_t lane = kReplicaLaneBase + r - 1;
-    if (lane >= ThreadPool::kTierPrefetchLane)
-        fatal("replica ", r, " would run on lane ", lane,
-              ", which is reserved (tier prefetch = ",
-              ThreadPool::kTierPrefetchLane,
-              ", serve lanes >= ", ThreadPool::kServeLaneBase,
-              "): use at most ",
-              ThreadPool::kTierPrefetchLane - kReplicaLaneBase + 1,
-              " replicas");
-    return lane;
-}
 
 void
 runReplicated(ExecContext &exec,
               const std::function<void(std::size_t, ExecContext &)> &body)
 {
-    const std::size_t replicas = exec.replicas == 0 ? 1 : exec.replicas;
-    LAZYDP_ASSERT(validReplicas(replicas),
-                  "replica count must divide the fixed lot-shard count");
-
-    if (replicas == 1 || exec.pool == nullptr) {
+    if (exec.threads() <= 1) {
         for (std::size_t s = 0; s < kLotShards; ++s)
             body(s, exec);
         return;
     }
-
-    const std::size_t per = kLotShards / replicas;
-    std::vector<TaskHandle> pending;
-    pending.reserve(replicas - 1);
-    for (std::size_t r = 1; r < replicas; ++r) {
-        pending.push_back(exec.pool->submitLane(
-            replicaLane(r), [&body, r, per] {
-                for (std::size_t s = r * per; s < (r + 1) * per; ++s)
-                    body(s, ExecContext::serial());
-            }));
-    }
-
-    // Whatever happens, EVERY lane must drain before this frame
-    // unwinds: the lane closures capture the caller's stack. Waits are
-    // unconditional; the first exception (caller's own first, then
-    // lanes in lane order) is rethrown only after the join.
-    std::exception_ptr first;
-    try {
-        for (std::size_t s = 0; s < per; ++s)
-            body(s, exec);
-    } catch (...) {
-        first = std::current_exception();
-    }
-    for (auto &h : pending) {
-        try {
-            h.wait();
-        } catch (...) {
-            if (first == nullptr)
-                first = std::current_exception();
-        }
-    }
-    if (first != nullptr)
-        std::rethrow_exception(first);
+    exec.pool->run(kLotShards, [&body](std::size_t s) {
+        body(s, ExecContext::serial());
+    });
 }
 
 void

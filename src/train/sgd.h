@@ -10,7 +10,7 @@
  * (train/lot_backward.h): the lot splits into the fixed microbatch
  * shards, each shard's backward fills its own gradient sums, and the
  * fixed tree reduction merges them -- so SGD too is bit-identical
- * across replica counts and participates in the replica sweeps.
+ * at every thread count.
  */
 
 #ifndef LAZYDP_TRAIN_SGD_H

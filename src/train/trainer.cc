@@ -7,13 +7,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/snapshot_store.h"
-#include "train/replica.h"
 
 namespace lazydp {
 
 namespace {
 
-/** Registry mirrors of the TrainResult publish counters. */
+/** Registry mirrors of the per-publish receipts. */
 struct PublishMetrics
 {
     obs::MetricId publishes;
@@ -54,12 +53,6 @@ Trainer::run(std::uint64_t iterations, const TrainOptions &options)
         return result;
     LAZYDP_ASSERT(options.warmupIters < iterations,
                   "warmup would consume every iteration");
-    LAZYDP_ASSERT(validReplicas(options.replicas),
-                  "TrainOptions::replicas must be 1, 2 or 4");
-    // Fail loudly up front if any replica would land on a reserved
-    // (tier-prefetch / serve) lane, rather than deep inside dispatch.
-    for (std::size_t r = 1; r < options.replicas; ++r)
-        replicaLane(r);
     if (options.publishEveryIters != 0) {
         LAZYDP_ASSERT(options.snapshotStore != nullptr,
                       "publishEveryIters needs a snapshotStore");
@@ -83,12 +76,6 @@ Trainer::run(std::uint64_t iterations, const TrainOptions &options)
     if (options.recordIterSeconds)
         result.iterSeconds.reserve(iterations - options.warmupIters);
 
-    // The worker-replica count travels to every step through a per-run
-    // copy of the execution context (replicas are a schedule knob, not
-    // an algorithm parameter).
-    runExec_ = *exec_;
-    runExec_.replicas = options.replicas;
-
     // The pipeline needs the pool's async lane; without a pool the
     // serial schedule is the only (and identical-result) option.
     if (options.pipeline && exec_->pool != nullptr)
@@ -105,7 +92,7 @@ Trainer::run(std::uint64_t iterations, const TrainOptions &options)
 
     if (options.runFinalize) {
         WallTimer fin;
-        algorithm_.finalize(options.startIter + iterations, runExec_,
+        algorithm_.finalize(options.startIter + iterations, *exec_,
                             result.finalizeTimer);
         result.finalizeSeconds = fin.seconds();
     }
@@ -153,11 +140,11 @@ Trainer::runSerial(std::uint64_t iterations, const TrainOptions &options,
                                options.startIter + iter);
             loss = algorithm_.step(
                 options.startIter + iter, queue.head(),
-                has_next ? &queue.at(1) : nullptr, runExec_, timer);
+                has_next ? &queue.at(1) : nullptr, *exec_, timer);
         }
         if (options.recordLosses)
             result.losses.push_back(loss);
-        maybePublish(iter, options, result);
+        maybePublish(iter, options);
         if (options.recordIterSeconds && iter > options.warmupIters) {
             const double now = wall.seconds();
             result.iterSeconds.push_back(now - iter_mark);
@@ -208,7 +195,7 @@ Trainer::runPipelined(std::uint64_t iterations,
                            options.startIter + 1);
         algorithm_.prepare(options.startIter + 1, queue.head(),
                            first_has_next ? &queue.at(1) : nullptr,
-                           *cur_prep, runExec_, t1);
+                           *cur_prep, *exec_, t1);
         // Warm the first apply's full row set (batch 1 plus the
         // prepared lookahead rows) while nothing else is running.
         algorithm_.warmTier(queue.head(), cur_prep, exec_->pool);
@@ -262,7 +249,7 @@ Trainer::runPipelined(std::uint64_t iterations,
             LAZYDP_TRACE_SPAN1(obs::TraceCat::Trainer, "apply", "iter",
                                options.startIter + iter);
             loss = algorithm_.apply(options.startIter + iter, cur,
-                                    *cur_prep, runExec_, timer);
+                                    *cur_prep, *exec_, timer);
         } catch (...) {
             // Drain the async stage before unwinding: its closure
             // captures this frame's queue and timers.
@@ -280,7 +267,7 @@ Trainer::runPipelined(std::uint64_t iterations,
         // reads or writes model weights (the pipeline's own contract),
         // so the snapshot copy cannot race it -- and the dirty tracker
         // is only ever marked by apply() on this thread.
-        maybePublish(iter, options, result);
+        maybePublish(iter, options);
 
         if (pending.valid()) {
             pending.wait();
@@ -312,8 +299,7 @@ Trainer::runPipelined(std::uint64_t iterations,
 }
 
 void
-Trainer::maybePublish(std::uint64_t iter, const TrainOptions &options,
-                      TrainResult &result)
+Trainer::maybePublish(std::uint64_t iter, const TrainOptions &options)
 {
     if (options.snapshotStore == nullptr ||
         options.publishEveryIters == 0 ||
@@ -325,10 +311,6 @@ Trainer::maybePublish(std::uint64_t iter, const TrainOptions &options,
         *algorithm_.model(), options.startIter + iter,
         algorithm_.dirtyTracker());
     span.setArg("rows_copied", receipt.rowsCopied);
-    result.publishSeconds += receipt.seconds;
-    ++result.publishes;
-    result.rowsCopied += receipt.rowsCopied;
-    result.pagesShared += receipt.pagesShared;
     if (obs::metricsEnabled()) {
         const PublishMetrics &ids = publishMetrics();
         obs::counterAdd(ids.publishes);

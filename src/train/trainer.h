@@ -53,19 +53,6 @@ struct TrainOptions
     bool pipeline = false;
 
     /**
-     * Lot-sharded data-parallel worker replicas (train/replica.h):
-     * every apply() fans its microbatch-shard gradient production
-     * across this many workers (replica 0 = the main thread, the rest
-     * on dedicated pool lanes) before the deterministic tree reduction
-     * and the single noise-add/update. Must be 1, 2 or 4 (a divisor of
-     * the fixed shard count). Requires a pool to actually run
-     * concurrently; without one the same dataflow executes inline.
-     * Never changes the trained model -- the third orthogonal
-     * parallelism axis next to intra-op threads and the pipeline.
-     */
-    std::size_t replicas = 1;
-
-    /**
      * Run Algorithm::finalize after the last iteration (default). Off
      * for checkpoint-segmented training: finalize flushes LazyDP's
      * pending noise into the weights, which must happen exactly once,
@@ -146,14 +133,6 @@ struct TrainResult
     double finalizeSeconds = 0.0;//!< wall time of Algorithm::finalize
     std::uint64_t iterations = 0;//!< measured (post-warmup) iterations
 
-    // Publish-side costs (zero unless TrainOptions::publishEveryIters),
-    // summed over every publish of the run: how much the serving
-    // freshness actually cost the training loop.
-    double publishSeconds = 0.0;  //!< wall time inside publish()
-    std::uint64_t publishes = 0;  //!< snapshots published by this run
-    std::uint64_t rowsCopied = 0; //!< embedding rows memcpy'd
-    std::uint64_t pagesShared = 0;//!< COW pages shared across versions
-
     /**
      * Out-of-core residency traffic summed over the model's tiered
      * tables (all zeros for an all-DRAM model): hit rate, promotions,
@@ -213,17 +192,14 @@ class Trainer
 
     /**
      * Publish a snapshot after run-local iteration @p iter when the
-     * options ask for one (stamped with the global iteration id),
-     * accumulating publish costs into @p result .
+     * options ask for one (stamped with the global iteration id). The
+     * store's totals() is the ledger of publish costs.
      */
-    void maybePublish(std::uint64_t iter, const TrainOptions &options,
-                      TrainResult &result);
+    void maybePublish(std::uint64_t iter, const TrainOptions &options);
 
     Algorithm &algorithm_;
     DataLoader &loader_;
     ExecContext *exec_;
-    /** Per-run copy of *exec_ carrying TrainOptions::replicas. */
-    ExecContext runExec_;
 };
 
 } // namespace lazydp

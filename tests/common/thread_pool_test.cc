@@ -376,15 +376,6 @@ TEST(ExecContextTest, SerialContextReportsOneThread)
     EXPECT_EQ(exec.threads(), 6u);
 }
 
-TEST(ExecContextTest, ReplicasDefaultToOneAndCopy)
-{
-    ExecContext a;
-    EXPECT_EQ(a.replicas, 1u);
-    a.replicas = 4;
-    ExecContext b = a;
-    EXPECT_EQ(b.replicas, 4u);
-}
-
 TEST(SubmitLaneTest, LanesPreserveSubmissionOrderWithinALane)
 {
     ThreadPool pool(1);

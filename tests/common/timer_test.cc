@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
 
 namespace lazydp {
 namespace {
@@ -82,6 +83,36 @@ TEST(StageTimerTest, MergeSumsBreakdowns)
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.seconds(Stage::Forward), 3.0);
     EXPECT_DOUBLE_EQ(a.seconds(Stage::Else), 3.0);
+}
+
+TEST(StageTimerTest, MergeScalesTheOtherTimer)
+{
+    StageTimer a;
+    StageTimer b;
+    b.add(Stage::Forward, 2.0);
+    b.add(Stage::Else, 6.0);
+    a.merge(b, 0.25);
+    EXPECT_DOUBLE_EQ(a.seconds(Stage::Forward), 0.5);
+    EXPECT_DOUBLE_EQ(a.seconds(Stage::Else), 1.5);
+}
+
+TEST(StageTimerTest, LocalTimeReachesTheRegistryOnceAtMerge)
+{
+    obs::setMetricsEnabled(true);
+    const auto counter = [] {
+        return obs::scrapeMetrics().counter("train.stage.coalesce_ns");
+    };
+    StageTimer lot;
+    StageTimer shard{StageTimer::Local{}};
+    const std::uint64_t before = counter();
+    shard.add(Stage::GradCoalesce, 2.0);
+    EXPECT_EQ(counter(), before); // a Local timer does not mirror
+    lot.merge(shard, 0.5);        // ...until a mirroring timer takes it
+    EXPECT_EQ(counter(), before + 1000000000u);
+    StageTimer outer;
+    outer.merge(lot); // lot already mirrored: no second count
+    EXPECT_EQ(counter(), before + 1000000000u);
+    obs::setMetricsEnabled(false);
 }
 
 TEST(StageTimerTest, NestedStartPanics)

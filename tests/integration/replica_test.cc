@@ -1,14 +1,14 @@
 /**
  * @file Lot-sharded data-parallel equivalence sweeps.
  *
- * The third parallelism axis (worker replicas) composes with the first
- * two (intra-op shards = --threads, stage pipelining = --pipeline) and
- * must never change the trained model: the lot always decomposes into
- * the same kLotShards microbatch shards, clipped shard gradients merge
- * through a fixed-shape tree, and the keyed noise add + update run once
- * on the aggregate. This suite pins the repo's signature invariant for
- * every engine: bit-identical final models AND loss trajectories for
- * replicas {1,2,4} x pipeline {off,on} x threads {1,2,8}.
+ * The lot shards run inline at width 1 and on the pool's workers at
+ * any wider width, composed with the stage pipeline, and must never
+ * change the trained model: the lot always decomposes into the same
+ * kLotShards microbatch shards, clipped shard gradients merge through
+ * a fixed-shape tree, and the keyed noise add + update run once on the
+ * aggregate. This suite pins the repo's signature invariant for every
+ * engine: bit-identical final models AND loss trajectories for
+ * threads {1,2,4,8} x pipeline {off,on}.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +17,9 @@
 #include <memory>
 #include <string>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/factory.h"
 #include "data/synthetic_dataset.h"
-#include "train/replica.h"
 #include "train/trainer.h"
 
 namespace lazydp {
@@ -59,7 +57,7 @@ struct RunOutcome
 /** Train `algo` for 12 iterations under the given schedule. */
 RunOutcome
 train(const std::string &algo, float weight_decay, std::size_t threads,
-      bool pipeline, std::size_t replicas)
+      bool pipeline)
 {
     const auto mc = testModel();
     TrainHyper hyper;
@@ -79,7 +77,6 @@ train(const std::string &algo, float weight_decay, std::size_t threads,
     ExecContext exec(&pool);
     TrainOptions options;
     options.pipeline = pipeline;
-    options.replicas = replicas;
     out.losses =
         Trainer(*algorithm, loader, &exec).run(12, options).losses;
     return out;
@@ -123,40 +120,35 @@ class ReplicaEquivalenceTest
 {
 };
 
-TEST_P(ReplicaEquivalenceTest, ModelBitIdenticalAcrossReplicaMatrix)
+TEST_P(ReplicaEquivalenceTest, ModelBitIdenticalAcrossThreadMatrix)
 {
     const std::string algo = GetParam();
     const RunOutcome reference =
-        train(algo, 0.0f, /*threads=*/1, /*pipeline=*/false,
-              /*replicas=*/1);
-    for (const std::size_t replicas : {1u, 2u, 4u}) {
-        for (const bool pipeline : {false, true}) {
-            for (const std::size_t threads : {1u, 2u, 8u}) {
-                const RunOutcome run =
-                    train(algo, 0.0f, threads, pipeline, replicas);
-                const std::string what =
-                    algo + ": replicas " + std::to_string(replicas) +
-                    ", pipeline " + (pipeline ? "on" : "off") + ", " +
-                    std::to_string(threads) + " threads";
-                expectBitIdentical(*reference.model, *run.model, what);
-                // Losses come from the forward pass, so any weight
-                // divergence mid-run shows up here even if the final
-                // bytes matched.
-                EXPECT_EQ(reference.losses, run.losses) << what;
-            }
+        train(algo, 0.0f, /*threads=*/1, /*pipeline=*/false);
+    for (const bool pipeline : {false, true}) {
+        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+            const RunOutcome run = train(algo, 0.0f, threads, pipeline);
+            const std::string what =
+                algo + ": pipeline " + (pipeline ? "on" : "off") + ", " +
+                std::to_string(threads) + " threads";
+            expectBitIdentical(*reference.model, *run.model, what);
+            // Losses come from the forward pass, so any weight
+            // divergence mid-run shows up here even if the final bytes
+            // matched.
+            EXPECT_EQ(reference.losses, run.losses) << what;
         }
     }
 }
 
-TEST_P(ReplicaEquivalenceTest, DeferredDecayAlsoReplicaInvariant)
+TEST_P(ReplicaEquivalenceTest, DeferredDecayAlsoWidthInvariant)
 {
     const std::string algo = GetParam();
     if (algo == "eana" || algo == "sgd")
         GTEST_SKIP() << algo << " rejects weight decay";
-    const RunOutcome reference = train(algo, 0.1f, 1, false, 1);
-    const RunOutcome run = train(algo, 0.1f, 8, true, 4);
+    const RunOutcome reference = train(algo, 0.1f, 1, false);
+    const RunOutcome run = train(algo, 0.1f, 8, true);
     expectBitIdentical(*reference.model, *run.model,
-                       algo + ": decay, replicas 4, pipeline on");
+                       algo + ": decay, 8 threads, pipeline on");
     EXPECT_EQ(reference.losses, run.losses);
 }
 
@@ -172,32 +164,6 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(ReplicaScheduleTest, SerialExecRunsSameDataflow)
-{
-    // replicas > 1 without a pool: the dispatch runs every shard inline
-    // on the caller -- identical bits, no threads required.
-    const auto mc = testModel();
-    TrainHyper hyper;
-    hyper.noiseSeed = 0xBEEF;
-
-    DlrmModel plain_model(mc, 23);
-    DlrmModel inline_model(mc, 23);
-    SyntheticDataset ds(testData(mc));
-    {
-        SequentialLoader loader(ds);
-        auto algo = makeAlgorithm("lazydp", plain_model, hyper);
-        Trainer(*algo, loader).run(6);
-    }
-    {
-        SequentialLoader loader(ds);
-        auto algo = makeAlgorithm("lazydp", inline_model, hyper);
-        TrainOptions options;
-        options.replicas = 4;
-        Trainer(*algo, loader).run(6, options);
-    }
-    expectBitIdentical(plain_model, inline_model, "poolless replicas");
-}
-
 TEST(ReplicaScheduleTest, LotSmallerThanShardCountStillWorks)
 {
     // batch 2 < kLotShards: two shards carry one example each, two are
@@ -209,33 +175,33 @@ TEST(ReplicaScheduleTest, LotSmallerThanShardCountStillWorks)
     hyper.noiseSeed = 0xBEEF;
 
     DlrmModel ref_model(mc, 23);
-    DlrmModel rep_model(mc, 23);
     SyntheticDataset ds(dc);
     {
         SequentialLoader loader(ds);
         auto algo = makeAlgorithm("dpsgd-f", ref_model, hyper);
         Trainer(*algo, loader).run(4);
     }
-    {
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        DlrmModel model(mc, 23);
         SequentialLoader loader(ds);
-        auto algo = makeAlgorithm("dpsgd-f", rep_model, hyper);
-        ThreadPool pool(2);
+        auto algo = makeAlgorithm("dpsgd-f", model, hyper);
+        ThreadPool pool(threads);
         ExecContext exec(&pool);
-        TrainOptions options;
-        options.replicas = 4;
-        Trainer(*algo, loader, &exec).run(4, options);
+        Trainer(*algo, loader, &exec).run(4);
+        expectBitIdentical(ref_model, model,
+                           "tiny lot, " + std::to_string(threads) +
+                               " threads");
     }
-    expectBitIdentical(ref_model, rep_model, "tiny lot, 4 replicas");
 }
 
 /**
  * Ragged lots: batch sizes NOT divisible by kLotShards decompose into
- * shards of size floor and floor+1 (larger shards first). The replica
+ * shards of size floor and floor+1 (larger shards first). The width
  * matrix must stay bit-identical on them — this is where an off-by-one
  * in the bounds or the lot-wide gather would surface as example loss,
  * duplication, or a misaligned gather offset.
  */
-TEST(ReplicaScheduleTest, RaggedLotBitIdenticalAcrossReplicas)
+TEST(ReplicaScheduleTest, RaggedLotBitIdenticalAcrossWidths)
 {
     const auto mc = testModel();
     for (const std::size_t batch : {5u, 6u, 7u}) {
@@ -251,37 +217,19 @@ TEST(ReplicaScheduleTest, RaggedLotBitIdenticalAcrossReplicas)
             auto algo = makeAlgorithm("lazydp", ref_model, hyper);
             Trainer(*algo, loader).run(5);
         }
-        for (const std::size_t replicas : {2u, 4u}) {
-            DlrmModel rep_model(mc, 23);
+        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+            DlrmModel model(mc, 23);
             SequentialLoader loader(ds);
-            auto algo = makeAlgorithm("lazydp", rep_model, hyper);
-            ThreadPool pool(2);
+            auto algo = makeAlgorithm("lazydp", model, hyper);
+            ThreadPool pool(threads);
             ExecContext exec(&pool);
-            TrainOptions options;
-            options.replicas = replicas;
-            Trainer(*algo, loader, &exec).run(5, options);
-            expectBitIdentical(ref_model, rep_model,
+            Trainer(*algo, loader, &exec).run(5);
+            expectBitIdentical(ref_model, model,
                                "ragged batch " + std::to_string(batch) +
-                                   ", " + std::to_string(replicas) +
-                                   " replicas");
+                                   ", " + std::to_string(threads) +
+                                   " threads");
         }
     }
-}
-
-TEST(ReplicaScheduleTest, InvalidReplicaCountIsFatal)
-{
-    setLogThrowMode(true);
-    const auto mc = testModel();
-    DlrmModel model(mc, 23);
-    TrainHyper hyper;
-    SyntheticDataset ds(testData(mc));
-    SequentialLoader loader(ds);
-    auto algo = makeAlgorithm("lazydp", model, hyper);
-    TrainOptions options;
-    options.replicas = 3; // does not divide the fixed shard count
-    EXPECT_THROW(Trainer(*algo, loader).run(2, options),
-                 std::runtime_error);
-    setLogThrowMode(false);
 }
 
 } // namespace

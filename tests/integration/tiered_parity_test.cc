@@ -2,7 +2,7 @@
  * @file Out-of-core bit-identity sweeps: the tiered (DRAM hot tier +
  * file-backed cold tier) embedding backend must train the EXACT same
  * model as all-DRAM for every engine, under the serial and pipelined
- * schedules, at 1 and 4 worker replicas, with a hot budget small
+ * schedules, at thread widths 1, 2, 4 and 8, with a hot budget small
  * enough to force steady eviction/write-back traffic -- plus the
  * prefetch-off worst case and a checkpoint byte-identity leg.
  */
@@ -30,14 +30,14 @@ struct TieredCase
 {
     const char *algo;
     bool pipeline;
-    std::size_t replicas;
+    std::size_t threads;
 };
 
 std::ostream &
 operator<<(std::ostream &os, const TieredCase &c)
 {
-    return os << c.algo << (c.pipeline ? "_pipe" : "_serial") << "_r"
-              << c.replicas;
+    return os << c.algo << (c.pipeline ? "_pipe" : "_serial") << "_t"
+              << c.threads;
 }
 
 ModelConfig
@@ -87,22 +87,17 @@ hyper(const char *algo)
  */
 std::vector<std::vector<float>>
 trainAndDump(DlrmModel &model, const char *algo_name, bool pipeline,
-             std::size_t replicas, bool use_pool, std::uint64_t iters)
+             std::size_t threads, std::uint64_t iters)
 {
     SyntheticDataset ds(dataConfig(model.config()));
     SequentialLoader loader(ds);
     auto algo = makeAlgorithm(algo_name, model, hyper(algo_name));
 
-    std::unique_ptr<ThreadPool> pool;
-    std::unique_ptr<ExecContext> exec;
-    if (use_pool) {
-        pool = std::make_unique<ThreadPool>(4);
-        exec = std::make_unique<ExecContext>(pool.get());
-    }
-    Trainer trainer(*algo, loader, exec.get());
+    ThreadPool pool(threads);
+    ExecContext exec(&pool);
+    Trainer trainer(*algo, loader, &exec);
     TrainOptions options;
     options.pipeline = pipeline;
-    options.replicas = replicas;
     trainer.run(iters, options);
 
     std::vector<std::vector<float>> dump;
@@ -157,16 +152,14 @@ TEST_P(TieredParityTest, TieredModelBitIdenticalToDram)
     const std::uint64_t seed = 11;
 
     DlrmModel dense_model(modelConfig(), seed);
-    const auto dense = trainAndDump(dense_model, c.algo, c.pipeline,
-                                    c.replicas,
-                                    /*use_pool=*/true, iters);
+    const auto dense =
+        trainAndDump(dense_model, c.algo, c.pipeline, c.threads, iters);
 
     DlrmModel tiered_model(modelConfig(), seed,
                            tierOptions(dir_, /*prefetch=*/true));
     ASSERT_TRUE(tiered_model.tiered());
-    const auto tiered = trainAndDump(tiered_model, c.algo, c.pipeline,
-                                     c.replicas,
-                                     /*use_pool=*/true, iters);
+    const auto tiered =
+        trainAndDump(tiered_model, c.algo, c.pipeline, c.threads, iters);
 
     ASSERT_EQ(dense.size(), tiered.size());
     for (std::size_t t = 0; t < dense.size(); ++t) {
@@ -180,26 +173,31 @@ TEST_P(TieredParityTest, TieredModelBitIdenticalToDram)
 INSTANTIATE_TEST_SUITE_P(
     Engines, TieredParityTest,
     ::testing::Values(
-        // Every engine at the serial baseline...
-        TieredCase{"sgd", false, 1}, TieredCase{"dpsgd-b", false, 1},
-        TieredCase{"dpsgd-r", false, 1},
-        TieredCase{"dpsgd-f", false, 1}, TieredCase{"eana", false, 1},
-        TieredCase{"lazydp", false, 1},
-        TieredCase{"lazydp-noans", false, 1},
+        // Every engine at the serial schedule, shards on 4 threads...
+        TieredCase{"sgd", false, 4}, TieredCase{"dpsgd-b", false, 4},
+        TieredCase{"dpsgd-r", false, 4},
+        TieredCase{"dpsgd-f", false, 4}, TieredCase{"eana", false, 4},
+        TieredCase{"lazydp", false, 4},
+        TieredCase{"lazydp-noans", false, 4},
         // ...the pipelined schedule (warm submissions race apply)...
-        TieredCase{"sgd", true, 1}, TieredCase{"eana", true, 1},
-        TieredCase{"lazydp", true, 1},
-        TieredCase{"lazydp-noans", true, 1},
-        // ...and 4 worker replicas, serial + pipelined.
-        TieredCase{"sgd", false, 4}, TieredCase{"lazydp", false, 4},
-        TieredCase{"sgd", true, 4}, TieredCase{"lazydp", true, 4}),
+        TieredCase{"sgd", true, 4}, TieredCase{"eana", true, 4},
+        TieredCase{"lazydp", true, 4},
+        TieredCase{"lazydp-noans", true, 4},
+        // ...and the other widths: inline shards at 1, fan-out at 2
+        // and 8, serial + pipelined.
+        TieredCase{"sgd", false, 1}, TieredCase{"lazydp", false, 1},
+        TieredCase{"sgd", true, 1}, TieredCase{"lazydp", true, 1},
+        TieredCase{"sgd", false, 2}, TieredCase{"lazydp", false, 2},
+        TieredCase{"sgd", true, 2}, TieredCase{"lazydp", true, 2},
+        TieredCase{"sgd", false, 8}, TieredCase{"lazydp", false, 8},
+        TieredCase{"sgd", true, 8}, TieredCase{"lazydp", true, 8}),
     [](const auto &info) {
         std::string n = info.param.algo;
         for (auto &ch : n)
             if (ch == '-')
                 ch = '_';
-        return n + (info.param.pipeline ? "_pipe" : "_serial") + "_r" +
-               std::to_string(info.param.replicas);
+        return n + (info.param.pipeline ? "_pipe" : "_serial") + "_t" +
+               std::to_string(info.param.threads);
     });
 
 TEST(TieredWorstCaseTest, PrefetchOffStillBitIdentical)
@@ -211,7 +209,7 @@ TEST(TieredWorstCaseTest, PrefetchOffStillBitIdentical)
     DlrmModel dense_model(modelConfig(), 11);
     const auto dense =
         trainAndDump(dense_model, "lazydp", /*pipeline=*/true,
-                     /*replicas=*/1, /*use_pool=*/true, 12);
+                     /*threads=*/4, 12);
 
     // prefetch=off: every promotion faults synchronously -- the
     // worst-case leg must still train the identical model.
@@ -219,7 +217,7 @@ TEST(TieredWorstCaseTest, PrefetchOffStillBitIdentical)
                            tierOptions(dir, /*prefetch=*/false));
     const auto tiered =
         trainAndDump(tiered_model, "lazydp", /*pipeline=*/true,
-                     /*replicas=*/1, /*use_pool=*/true, 12);
+                     /*threads=*/4, 12);
 
     for (std::size_t t = 0; t < dense.size(); ++t) {
         EXPECT_EQ(std::memcmp(dense[t].data(), tiered[t].data(),
@@ -242,11 +240,11 @@ TEST(TieredCheckpointTest, CheckpointBytesMatchDenseRun)
     const std::string tiered_ckpt = dir + "/tiered.bin";
 
     DlrmModel dense_model(modelConfig(), 11);
-    trainAndDump(dense_model, "sgd", false, 1, false, 6);
+    trainAndDump(dense_model, "sgd", false, 1, 6);
     io::saveModel(dense_ckpt, dense_model);
 
     DlrmModel tiered_model(modelConfig(), 11, tierOptions(dir, true));
-    trainAndDump(tiered_model, "sgd", false, 1, false, 6);
+    trainAndDump(tiered_model, "sgd", false, 1, 6);
     io::saveModel(tiered_ckpt, tiered_model);
 
     std::ifstream a(dense_ckpt, std::ios::binary);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/thread_pool.h"
 #include "core/factory.h"
 #include "data/synthetic_dataset.h"
 #include "train/trainer.h"
@@ -65,17 +66,25 @@ TEST_P(AlgorithmRunTest, RunsAndRecordsAllIterations)
 TEST_P(AlgorithmRunTest, StageTimerCoversMostOfWallTime)
 {
     const auto mc = testModel();
-    DlrmModel model(mc, 5);
-    SyntheticDataset ds(testData(mc));
-    SequentialLoader loader(ds);
-    TrainHyper hyper;
-    auto algo = makeAlgorithm(GetParam(), model, hyper);
-    Trainer trainer(*algo, loader);
-    const TrainResult result = trainer.run(5);
-    // timed stages must account for a large share of wall time (the
-    // remainder is data loading, which is untimed)
-    EXPECT_GT(result.timer.totalSeconds(), 0.0);
-    EXPECT_LE(result.timer.totalSeconds(), result.wallSeconds * 1.001);
+    // Width 4 runs the lot shards concurrently: their busy time must
+    // still be booked as wall time.
+    for (const std::size_t threads : {1u, 4u}) {
+        DlrmModel model(mc, 5);
+        SyntheticDataset ds(testData(mc));
+        SequentialLoader loader(ds);
+        TrainHyper hyper;
+        auto algo = makeAlgorithm(GetParam(), model, hyper);
+        ThreadPool pool(threads);
+        ExecContext exec(&pool);
+        Trainer trainer(*algo, loader, &exec);
+        const TrainResult result = trainer.run(5);
+        // timed stages must account for a large share of wall time
+        // (the remainder is data loading, which is untimed)
+        EXPECT_GT(result.timer.totalSeconds(), 0.0) << threads;
+        EXPECT_LE(result.timer.totalSeconds(),
+                  result.wallSeconds * 1.001)
+            << threads << " threads";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmRunTest,

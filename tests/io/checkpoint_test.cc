@@ -174,143 +174,148 @@ TEST_F(CheckpointTest, ResumedRunEqualsUninterruptedRun)
 
 /**
  * The hardened resume property: checkpoint at iteration k under the
- * PIPELINED schedule with REPLICATED lot-sharded apply, resume, train
- * to n -- bit-identical to an uninterrupted n-iteration run. Before
+ * PIPELINED schedule at every thread width (inline lot shards at 1,
+ * shards on the pool's workers above), resume, train to n --
+ * bit-identical to an uninterrupted n-iteration run. Before
  * this test, checkpoint coverage never exercised the pipelined path;
  * keyed noise + the persisted HistoryTable make the equality exact, so
  * memcmp, not tolerance.
  */
-TEST_F(CheckpointTest, PipelinedReplicatedResumeIsBitIdentical)
+TEST_F(CheckpointTest, PipelinedResumeIsBitIdenticalAtEveryWidth)
 {
     const std::uint64_t total_iters = 12;
     const std::uint64_t split = 5;
 
-    ThreadPool pool(4);
-    ExecContext exec(&pool);
-    TrainOptions schedule;
-    schedule.pipeline = true;
-    schedule.replicas = 2;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ThreadPool pool(threads);
+        ExecContext exec(&pool);
+        TrainOptions schedule;
+        schedule.pipeline = true;
 
-    // Reference: straight-through pipelined+replicated run.
-    DlrmModel ref_model(modelConfig(), 3);
-    {
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        LazyDpAlgorithm lazy(ref_model, hyper(), /*use_ans=*/true);
-        Trainer(lazy, loader, &exec).run(total_iters, schedule);
-    }
-
-    // Interrupted run: `split` iterations WITHOUT finalize (the pending
-    // noise must stay pending across the checkpoint), save, reload into
-    // fresh objects, continue from startIter = split, finalize once.
-    DlrmModel part_model(modelConfig(), 3);
-    {
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        LazyDpAlgorithm lazy(part_model, hyper(), true);
-        TrainOptions first_leg = schedule;
-        first_leg.runFinalize = false;
-        // The uninterrupted run's iteration `split` sees batch split+1
-        // as lookahead (and renews its HistoryTable rows); the
-        // interrupted leg must too, or the deferred-noise keys diverge.
-        first_leg.previewFinal = true;
-        Trainer(lazy, loader, &exec).run(split, first_leg);
-        io::saveTraining(path_, part_model, lazy, split + 1);
-    }
-
-    DlrmModel resumed_model(modelConfig(), 3);
-    {
-        LazyDpAlgorithm lazy(resumed_model, hyper(), true);
-        const io::ResumeInfo info =
-            io::loadTraining(path_, resumed_model, lazy);
-        ASSERT_EQ(info.nextIter, split + 1);
-
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        // The deterministic loader regenerates the first `split`
-        // batches the interrupted run consumed; skip them.
-        for (std::uint64_t i = 0; i < split; ++i)
-            loader.next();
-        TrainOptions second_leg = schedule;
-        second_leg.startIter = split;
-        Trainer(lazy, loader, &exec)
-            .run(total_iters - split, second_leg);
-    }
-
-    for (std::size_t t = 0; t < ref_model.tables().size(); ++t) {
-        const Tensor &wr = ref_model.tables()[t].weights();
-        const Tensor &ws = resumed_model.tables()[t].weights();
-        ASSERT_EQ(wr.size(), ws.size());
-        EXPECT_EQ(std::memcmp(wr.data(), ws.data(),
-                              wr.size() * sizeof(float)),
-                  0)
-            << "table " << t;
-    }
-    auto check_mlp = [&](const Mlp &ma, const Mlp &mb) {
-        for (std::size_t l = 0; l < ma.layers().size(); ++l) {
-            EXPECT_EQ(std::memcmp(ma.layers()[l].weight().data(),
-                                  mb.layers()[l].weight().data(),
-                                  ma.layers()[l].weight().size() *
-                                      sizeof(float)),
-                      0)
-                << "mlp layer " << l;
+        // Reference: straight-through pipelined run.
+        DlrmModel ref_model(modelConfig(), 3);
+        {
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            LazyDpAlgorithm lazy(ref_model, hyper(), /*use_ans=*/true);
+            Trainer(lazy, loader, &exec).run(total_iters, schedule);
         }
-    };
-    check_mlp(ref_model.bottomMlp(), resumed_model.bottomMlp());
-    check_mlp(ref_model.topMlp(), resumed_model.topMlp());
+
+        // Interrupted run: `split` iterations WITHOUT finalize (the pending
+        // noise must stay pending across the checkpoint), save, reload into
+        // fresh objects, continue from startIter = split, finalize once.
+        DlrmModel part_model(modelConfig(), 3);
+        {
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            LazyDpAlgorithm lazy(part_model, hyper(), true);
+            TrainOptions first_leg = schedule;
+            first_leg.runFinalize = false;
+            // The uninterrupted run's iteration `split` sees batch split+1
+            // as lookahead (and renews its HistoryTable rows); the
+            // interrupted leg must too, or the deferred-noise keys diverge.
+            first_leg.previewFinal = true;
+            Trainer(lazy, loader, &exec).run(split, first_leg);
+            io::saveTraining(path_, part_model, lazy, split + 1);
+        }
+
+        DlrmModel resumed_model(modelConfig(), 3);
+        {
+            LazyDpAlgorithm lazy(resumed_model, hyper(), true);
+            const io::ResumeInfo info =
+                io::loadTraining(path_, resumed_model, lazy);
+            ASSERT_EQ(info.nextIter, split + 1);
+
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            // The deterministic loader regenerates the first `split`
+            // batches the interrupted run consumed; skip them.
+            for (std::uint64_t i = 0; i < split; ++i)
+                loader.next();
+            TrainOptions second_leg = schedule;
+            second_leg.startIter = split;
+            Trainer(lazy, loader, &exec)
+                .run(total_iters - split, second_leg);
+        }
+
+        for (std::size_t t = 0; t < ref_model.tables().size(); ++t) {
+            const Tensor &wr = ref_model.tables()[t].weights();
+            const Tensor &ws = resumed_model.tables()[t].weights();
+            ASSERT_EQ(wr.size(), ws.size());
+            EXPECT_EQ(std::memcmp(wr.data(), ws.data(),
+                                  wr.size() * sizeof(float)),
+                      0)
+                << "table " << t;
+        }
+        auto check_mlp = [&](const Mlp &ma, const Mlp &mb) {
+            for (std::size_t l = 0; l < ma.layers().size(); ++l) {
+                EXPECT_EQ(std::memcmp(ma.layers()[l].weight().data(),
+                                      mb.layers()[l].weight().data(),
+                                      ma.layers()[l].weight().size() *
+                                          sizeof(float)),
+                          0)
+                    << "mlp layer " << l;
+            }
+        };
+        check_mlp(ref_model.bottomMlp(), resumed_model.bottomMlp());
+        check_mlp(ref_model.topMlp(), resumed_model.topMlp());
+    }
 }
 
-/** Same property for the ANS-free variant at 4 replicas, serial
- *  schedule -- the other corner of the resume matrix. */
-TEST_F(CheckpointTest, ReplicatedNoAnsResumeIsBitIdentical)
+/** Same property for the ANS-free variant, serial schedule -- the
+ *  other corner of the resume matrix. */
+TEST_F(CheckpointTest, NoAnsResumeIsBitIdenticalAtEveryWidth)
 {
     const std::uint64_t total_iters = 10;
     const std::uint64_t split = 4;
 
-    ThreadPool pool(2);
-    ExecContext exec(&pool);
-    TrainOptions schedule;
-    schedule.replicas = 4;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ThreadPool pool(threads);
+        ExecContext exec(&pool);
+        TrainOptions schedule;
 
-    DlrmModel ref_model(modelConfig(), 3);
-    {
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        LazyDpAlgorithm lazy(ref_model, hyper(), /*use_ans=*/false);
-        Trainer(lazy, loader, &exec).run(total_iters, schedule);
-    }
+        DlrmModel ref_model(modelConfig(), 3);
+        {
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            LazyDpAlgorithm lazy(ref_model, hyper(), /*use_ans=*/false);
+            Trainer(lazy, loader, &exec).run(total_iters, schedule);
+        }
 
-    DlrmModel resumed_model(modelConfig(), 3);
-    {
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        LazyDpAlgorithm lazy(resumed_model, hyper(), false);
-        TrainOptions first_leg = schedule;
-        first_leg.runFinalize = false;
-        first_leg.previewFinal = true; // lookahead parity at the split
-        Trainer(lazy, loader, &exec).run(split, first_leg);
-        io::saveTraining(path_, resumed_model, lazy, split + 1);
-    }
-    {
-        LazyDpAlgorithm lazy(resumed_model, hyper(), false);
-        io::loadTraining(path_, resumed_model, lazy);
-        SyntheticDataset ds(dataConfig());
-        SequentialLoader loader(ds);
-        for (std::uint64_t i = 0; i < split; ++i)
-            loader.next();
-        TrainOptions second_leg = schedule;
-        second_leg.startIter = split;
-        Trainer(lazy, loader, &exec)
-            .run(total_iters - split, second_leg);
-    }
+        DlrmModel resumed_model(modelConfig(), 3);
+        {
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            LazyDpAlgorithm lazy(resumed_model, hyper(), false);
+            TrainOptions first_leg = schedule;
+            first_leg.runFinalize = false;
+            first_leg.previewFinal = true; // lookahead parity at the split
+            Trainer(lazy, loader, &exec).run(split, first_leg);
+            io::saveTraining(path_, resumed_model, lazy, split + 1);
+        }
+        {
+            LazyDpAlgorithm lazy(resumed_model, hyper(), false);
+            io::loadTraining(path_, resumed_model, lazy);
+            SyntheticDataset ds(dataConfig());
+            SequentialLoader loader(ds);
+            for (std::uint64_t i = 0; i < split; ++i)
+                loader.next();
+            TrainOptions second_leg = schedule;
+            second_leg.startIter = split;
+            Trainer(lazy, loader, &exec)
+                .run(total_iters - split, second_leg);
+        }
 
-    for (std::size_t t = 0; t < ref_model.tables().size(); ++t) {
-        const Tensor &wr = ref_model.tables()[t].weights();
-        const Tensor &ws = resumed_model.tables()[t].weights();
-        EXPECT_EQ(std::memcmp(wr.data(), ws.data(),
-                              wr.size() * sizeof(float)),
-                  0)
-            << "table " << t;
+        for (std::size_t t = 0; t < ref_model.tables().size(); ++t) {
+            const Tensor &wr = ref_model.tables()[t].weights();
+            const Tensor &ws = resumed_model.tables()[t].weights();
+            EXPECT_EQ(std::memcmp(wr.data(), ws.data(),
+                                  wr.size() * sizeof(float)),
+                      0)
+                << "table " << t;
+        }
     }
 }
 

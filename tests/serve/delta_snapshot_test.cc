@@ -4,8 +4,8 @@
  *
  * 1. PARITY: the model a Delta store publishes is row-for-row
  *    bit-identical to a Full store's copy -- across engines (sparse
- *    oracles AND dense-fallback ones) x pipeline {off, on} x replicas
- *    {1, 4}, publishing after every iteration.
+ *    oracles AND dense-fallback ones) x pipeline {off, on} x threads
+ *    {1, 2, 4, 8}, publishing after every iteration.
  * 2. SHARING INVARIANTS: pages whose rows were untouched since the
  *    previous version are the SAME TablePage object (pointer-equal) in
  *    both snapshots; the tracker is consumed (reset) by publish.
@@ -305,11 +305,11 @@ TEST(DeltaSnapshotTest, SealedPagesServeCorrectBits)
  */
 void
 runModeParityCase(const std::string &algo_name, bool pipeline,
-                  std::size_t replicas)
+                  std::size_t threads)
 {
     SCOPED_TRACE("algo=" + algo_name +
                  " pipeline=" + std::to_string(pipeline) +
-                 " replicas=" + std::to_string(replicas));
+                 " threads=" + std::to_string(threads));
     const ModelConfig mc = tinyConfig();
     const std::uint64_t kIters = 6;
 
@@ -318,12 +318,11 @@ runModeParityCase(const std::string &algo_name, bool pipeline,
         SyntheticDataset dataset(dataConfig(mc));
         SequentialLoader loader(dataset);
         auto algo = makeAlgorithm(algo_name, model, testHyper());
-        ThreadPool pool(4);
+        ThreadPool pool(threads);
         ExecContext exec(&pool);
         Trainer trainer(*algo, loader, &exec);
         TrainOptions options;
         options.pipeline = pipeline;
-        options.replicas = replicas;
         options.publishEveryIters = 1;
         options.snapshotStore = &store;
         options.runFinalize = false; // mid-run state
@@ -347,34 +346,30 @@ runModeParityCase(const std::string &algo_name, bool pipeline,
 
 TEST(DeltaModeParityTest, LazyDp)
 {
-    runModeParityCase("lazydp", false, 1);
-    runModeParityCase("lazydp", true, 1);
-    runModeParityCase("lazydp", false, 4);
-    runModeParityCase("lazydp", true, 4);
+    for (const bool pipeline : {false, true})
+        for (const std::size_t threads : {1u, 2u, 4u, 8u})
+            runModeParityCase("lazydp", pipeline, threads);
 }
 
 TEST(DeltaModeParityTest, Eana)
 {
-    runModeParityCase("eana", false, 1);
-    runModeParityCase("eana", true, 1);
-    runModeParityCase("eana", false, 4);
-    runModeParityCase("eana", true, 4);
+    for (const bool pipeline : {false, true})
+        for (const std::size_t threads : {1u, 2u, 4u, 8u})
+            runModeParityCase("eana", pipeline, threads);
 }
 
 TEST(DeltaModeParityTest, Sgd)
 {
-    runModeParityCase("sgd", false, 1);
-    runModeParityCase("sgd", true, 1);
-    runModeParityCase("sgd", false, 4);
-    runModeParityCase("sgd", true, 4);
+    for (const bool pipeline : {false, true})
+        for (const std::size_t threads : {1u, 2u, 4u, 8u})
+            runModeParityCase("sgd", pipeline, threads);
 }
 
 TEST(DeltaModeParityTest, DpSgdFDenseFallback)
 {
-    runModeParityCase("dpsgd-f", false, 1);
-    runModeParityCase("dpsgd-f", true, 1);
-    runModeParityCase("dpsgd-f", false, 4);
-    runModeParityCase("dpsgd-f", true, 4);
+    for (const bool pipeline : {false, true})
+        for (const std::size_t threads : {1u, 2u, 4u, 8u})
+            runModeParityCase("dpsgd-f", pipeline, threads);
 }
 
 /**

@@ -5,7 +5,7 @@
  * 1. PARITY: a snapshot the Trainer publishes at iteration k is
  *    bit-identical (memcmp over every parameter tensor) to a
  *    checkpoint written by a separate run stopped at iteration k --
- *    for pipeline {off, on} x replicas {1, 4}. The snapshot path and
+ *    for pipeline {off, on} x threads {1, 2, 4, 8}. The snapshot path and
  *    the checkpoint path must agree on what "the model at iteration k"
  *    means, under every training schedule.
  *
@@ -99,15 +99,15 @@ weightsEqual(const DlrmModel &a, const DlrmModel &b)
 
 /**
  * Snapshot-vs-checkpoint parity at every published iteration under one
- * (pipeline, replicas) schedule: for k in {4, 8, 12}, a run publishing
+ * (pipeline, threads) schedule: for k in {4, 8, 12}, a run publishing
  * every 4 iterations up to k must leave a latest snapshot bit-equal to
  * the checkpoint a SERIAL run stopped at iteration k writes.
  */
 void
-runParityCase(bool pipeline, std::size_t replicas)
+runParityCase(bool pipeline, std::size_t threads)
 {
     SCOPED_TRACE("pipeline=" + std::to_string(pipeline) +
-                 " replicas=" + std::to_string(replicas));
+                 " threads=" + std::to_string(threads));
     const ModelConfig mc = tinyConfig();
     const std::uint64_t kPublishEvery = 4;
 
@@ -121,12 +121,11 @@ runParityCase(bool pipeline, std::size_t replicas)
             SyntheticDataset dataset(dataConfig(mc));
             SequentialLoader loader(dataset);
             auto algo = makeAlgorithm("lazydp", model, testHyper());
-            ThreadPool pool(4);
+            ThreadPool pool(threads);
             ExecContext exec(&pool);
             Trainer trainer(*algo, loader, &exec);
             TrainOptions options;
             options.pipeline = pipeline;
-            options.replicas = replicas;
             options.publishEveryIters = kPublishEvery;
             options.snapshotStore = &store;
             options.runFinalize = false; // mid-run state
@@ -165,22 +164,14 @@ runParityCase(bool pipeline, std::size_t replicas)
 
 TEST(SnapshotParityTest, MatchesCheckpointSerial)
 {
-    runParityCase(/*pipeline=*/false, /*replicas=*/1);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u})
+        runParityCase(/*pipeline=*/false, threads);
 }
 
 TEST(SnapshotParityTest, MatchesCheckpointPipelined)
 {
-    runParityCase(/*pipeline=*/true, /*replicas=*/1);
-}
-
-TEST(SnapshotParityTest, MatchesCheckpointReplicated)
-{
-    runParityCase(/*pipeline=*/false, /*replicas=*/4);
-}
-
-TEST(SnapshotParityTest, MatchesCheckpointPipelinedReplicated)
-{
-    runParityCase(/*pipeline=*/true, /*replicas=*/4);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u})
+        runParityCase(/*pipeline=*/true, threads);
 }
 
 /** Set every parameter of @p m to the constant @p v. */

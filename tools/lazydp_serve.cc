@@ -65,7 +65,6 @@ main(int argc, char **argv)
          {"threads", "training execution width (0 = all hardware "
                      "threads)"},
          {"pipeline", "on|off: training stage pipeline"},
-         {"replicas", "1|2|4 training data-parallel workers"},
          {"kernels", "SIMD backend: scalar|avx2|auto"},
          {"publish-every", "publish a model snapshot every N training "
                            "iterations"},
@@ -262,7 +261,6 @@ main(int argc, char **argv)
         Trainer trainer(*algo, loader, &exec);
         TrainOptions options;
         options.pipeline = args.getBool("pipeline", false);
-        options.replicas = args.getU64("replicas", 1);
         options.publishEveryIters = publish_every;
         options.snapshotStore = &store;
         options.recordIterSeconds = true;

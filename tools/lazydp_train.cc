@@ -60,8 +60,6 @@ main(int argc, char **argv)
                      "bit-identical model for every N)"},
          {"pipeline", "on|off: overlap noise prep + batch prefetch "
                       "with compute (bit-identical model)"},
-         {"replicas", "1|2|4 lot-sharded data-parallel workers "
-                      "(bit-identical model)"},
          {"kernels", "SIMD backend: scalar|avx2|auto (scalar is the "
                      "bit-exact golden reference)"},
          {"publish-every", "publish a serving snapshot every N "
@@ -141,7 +139,6 @@ main(int argc, char **argv)
 
     const std::size_t threads = args.getThreads(1);
     const bool pipeline = args.getBool("pipeline", false);
-    const std::size_t replicas = args.getU64("replicas", 1);
     const std::string kernels_name = args.applyKernels();
     ThreadPool pool(threads);
     ExecContext exec(&pool);
@@ -150,8 +147,7 @@ main(int argc, char **argv)
     inform("training ", algo->name(), " on ", model_cfg.name, " (",
            humanBytes(model.tableBytes()), " tables, batch ", batch,
            ", ", iters, " iters, ", threads, " threads, pipeline ",
-           pipeline ? "on" : "off", ", replicas ", replicas,
-           ", kernels ", kernels_name, ")");
+           pipeline ? "on" : "off", ", kernels ", kernels_name, ")");
     if (model.tiered())
         inform("out-of-core tables: hot tier ",
                humanBytes(args.getU64("hot-mb", 64) << 20),
@@ -161,7 +157,6 @@ main(int argc, char **argv)
     Trainer trainer(*algo, loader, &exec);
     TrainOptions options;
     options.pipeline = pipeline;
-    options.replicas = replicas;
     options.recordIterSeconds = true;
 
     // Optional snapshot publishing: no serving tier here, but the
@@ -220,22 +215,24 @@ main(int argc, char **argv)
             {"stage: " + stage,
              TablePrinter::num(secs / static_cast<double>(iters), 4)});
     }
-    if (result.publishes > 0) {
+    const PublishTotals publish =
+        store != nullptr ? store->totals() : PublishTotals{};
+    if (publish.publishes > 0) {
         table.addRow({"snapshot mode", snapshot_mode});
         table.addRow({"publishes",
                       TablePrinter::num(
-                          static_cast<double>(result.publishes), 0)});
+                          static_cast<double>(publish.publishes), 0)});
         table.addRow(
             {"publish ms mean",
-             TablePrinter::num(result.publishSeconds * 1e3 /
-                                   static_cast<double>(result.publishes),
+             TablePrinter::num(publish.seconds * 1e3 /
+                                   static_cast<double>(publish.publishes),
                                3)});
         table.addRow({"publish rows copied",
                       TablePrinter::num(
-                          static_cast<double>(result.rowsCopied), 0)});
+                          static_cast<double>(publish.rowsCopied), 0)});
         table.addRow({"publish pages shared",
                       TablePrinter::num(
-                          static_cast<double>(result.pagesShared), 0)});
+                          static_cast<double>(publish.pagesShared), 0)});
     }
     if (model.tiered()) {
         const TierStats &ts = result.tierStats;
